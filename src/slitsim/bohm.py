@@ -6,6 +6,8 @@ form (psi_R grad psi_I - psi_I grad psi_R) / (psi_R^2 + psi_I^2) with the
 EPS_NODE times the instantaneous peak are masked as undefined. Off-grid
 values come from local cubic interpolation, and trajectories are RK4 with
 the velocity linearly interpolated in time between adjacent field steps.
+A family of trajectories is integrated as one stack: each RK4 stage is
+one interpolation call per field over every live trajectory.
 
 A trajectory that runs into a masked (near-node) region fails loudly with
 the time of incursion instead of continuing on extrapolated velocities.
@@ -46,15 +48,28 @@ def velocity_field(field, t=0.0):
     return VelocityField(grid=grid, t=t, components=comps, mask=mask)
 
 
-def _lagrange_eval(xs, ys, x):
-    """Value at x of the Lagrange polynomial through (xs, ys)."""
+#: For each node j of a 4-point stencil, the other nodes k != j in order.
+_OTHERS = np.array([[k for k in range(4) if k != j] for j in range(4)])
+
+
+def _lagrange_weights(xs, x):
+    """Cubic Lagrange basis values l_j(x) on the nodes xs, shape (..., 4).
+
+    l_j = prod_{k != j} (x - x_k) / (x_j - x_k), each factor and product
+    a separate elementwise operation taken in k order, so that a point
+    gets the same bits alone as in a stack.
+    """
+    x = np.asarray(x)[..., None]
+    r = (x - xs)[..., _OTHERS] / (xs[..., None] - xs[..., _OTHERS])
+    return r[..., 0] * r[..., 1] * r[..., 2]
+
+
+def _lagrange_eval(weights, ys):
+    """sum_j ys_j l_j over the last axis, summed in j order."""
+    terms = ys * weights
     total = 0.0
-    for j in range(len(xs)):
-        lj = 1.0
-        for k in range(len(xs)):
-            if k != j:
-                lj *= (x - xs[k]) / (xs[j] - xs[k])
-        total += ys[j] * lj
+    for j in range(4):
+        total = total + terms[..., j]
     return total
 
 
@@ -66,7 +81,7 @@ def _interp_1d_line(values, mask, grid, x):
     raises MaskedRegion. A minority of masked points is replaced by the
     nearest unmasked ones.
     """
-    base = _axis_nodes_1d(grid, x)
+    base = _stencil_base(grid, x)
     idx = np.arange(base, base + 4)
     masked = mask[idx]
     if masked.sum() >= 3:
@@ -83,39 +98,83 @@ def _interp_1d_line(values, mask, grid, x):
         order = np.argsort(np.abs(coords - x), kind="stable")[:4]
         idx = np.sort(window[order])
     xs = grid.lo + idx * grid.delta
-    return _lagrange_eval(xs, values[idx], x)
+    return _lagrange_eval(_lagrange_weights(xs, x), values[idx])
 
 
-def _axis_nodes_1d(grid, x):
-    i = int(np.floor((x - grid.lo) / grid.delta))
-    return min(max(i - 1, 0), grid.n - 4)
+def _stencil_base(grid, x):
+    """First index of the 4-point stencil around x (array or scalar)."""
+    i = np.floor((x - grid.lo) / grid.delta).astype(int)
+    return np.minimum(np.maximum(i - 1, 0), grid.n - 4)
 
 
-def interpolate_velocity(vf, point):
-    """Velocity vector at an off-grid point by local cubic interpolation."""
+def _interp_masked(vf, pt):
+    """Velocity at one point whose stencil touches a masked grid point.
+
+    The minority-masked fallback of _interp_1d_line, row by row in 2D;
+    raises MaskedRegion where the stencil is majority-masked.
+    """
     grid = vf.grid
-    pt = np.atleast_1d(np.asarray(point, dtype=float))
-    if not np.all((pt >= grid.lo) & (pt <= grid.hi)):
-        raise ValueError(f"point {pt} outside the grid")
     if grid.dim == 1:
-        x = pt[0]
         return np.array([
-            _interp_1d_line(vf.components[0], vf.mask, grid, x)])
+            _interp_1d_line(vf.components[0], vf.mask, grid, pt[0])])
 
     # 2D: separable pass, rows (axis 0) chosen around y1, each row
     # interpolated along axis 1 with its own mask handling.
     y1, y2 = pt
-    base1 = _axis_nodes_1d(grid, y1)
+    base1 = _stencil_base(grid, y1)
     rows = np.arange(base1, base1 + 4)
     if vf.mask[rows].all(axis=1).sum() >= 3:
         raise MaskedRegion(f"interpolation stencil majority-masked at {pt}")
-    xs1 = grid.lo + rows * grid.delta
+    w1 = _lagrange_weights(grid.lo + rows * grid.delta, y1)
     out = np.empty(2)
     for c, comp in enumerate(vf.components):
         row_vals = np.array([
             _interp_1d_line(comp[r], vf.mask[r], grid, y2) for r in rows])
-        out[c] = _lagrange_eval(xs1, row_vals, y1)
+        out[c] = _lagrange_eval(w1, row_vals)
     return out
+
+
+def interpolate_velocity(vf, points):
+    """Velocity at off-grid points by local cubic interpolation.
+
+    A single point of shape (dim,) gives a (dim,) vector and raises
+    MaskedRegion where its stencil is majority-masked. A stack of shape
+    (m, dim) gives (m, dim), with a NaN row for each such point. Points
+    outside the grid raise ValueError either way.
+    """
+    grid = vf.grid
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim < 2
+    pts = pts.reshape(-1, grid.dim)
+    inside = np.all((pts >= grid.lo) & (pts <= grid.hi), axis=1)
+    if not inside.all():
+        raise ValueError(f"point {pts[~inside][0]} outside the grid")
+
+    # All stencils at once: indices and weights (m, 4) per axis, values
+    # (m, 4[, 4]). In 2D the row pass runs along axis 1 for all m x 4
+    # rows, then one column pass along axis 0, as in _interp_masked.
+    idx = [_stencil_base(grid, pts[:, a])[:, None] + np.arange(4)
+           for a in range(grid.dim)]
+    w = [_lagrange_weights(grid.lo + i * grid.delta, pts[:, a])
+         for a, i in enumerate(idx)]
+    block = (idx[0],) if grid.dim == 1 else (idx[0][:, :, None],
+                                              idx[1][:, None, :])
+    out = np.empty(pts.shape)
+    for c, comp in enumerate(vf.components):
+        vals = comp[block]
+        if grid.dim == 2:
+            vals = _lagrange_eval(w[1][:, None, :], vals)
+        out[:, c] = _lagrange_eval(w[0], vals)
+
+    touched = vf.mask[block].reshape(len(pts), -1).any(axis=1)
+    for i in np.flatnonzero(touched):
+        try:
+            out[i] = _interp_masked(vf, pts[i])
+        except MaskedRegion:
+            if single:
+                raise
+            out[i] = np.nan
+    return out[0] if single else out
 
 
 class FdFieldProvider:
@@ -158,22 +217,39 @@ class FdFieldProvider:
         return self._cache[k]
 
 
-def _rk4_point(r, dt, va, vb):
-    """One RK4 step with linear-in-time velocity interpolation."""
-    def mid(p):
-        return 0.5 * (interpolate_velocity(va, p)
-                      + interpolate_velocity(vb, p))
+def _rk4_stack(r, dt, va, vb):
+    """One RK4 step for a stack of points, velocity linear in time.
 
-    f1 = interpolate_velocity(va, r)
-    f2 = mid(r + 0.5 * dt * f1)
-    f3 = mid(r + 0.5 * dt * f2)
-    f4 = interpolate_velocity(vb, r + dt * f3)
-    return r + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+    Each stage makes one interpolate_velocity call per field over the
+    points still live. A point whose stencil is majority-masked at any
+    stage drops out of the later stages. Returns (mask over r of the
+    points that completed the step, their new positions).
+    """
+    live = np.ones(len(r), dtype=bool)
+    ks = []
+    for h, fields in ((None, (va,)), (0.5 * dt, (va, vb)),
+                      (0.5 * dt, (va, vb)), (dt, (vb,))):
+        p = r if h is None else r + h * ks[-1]
+        v = interpolate_velocity(fields[0], p)
+        if len(fields) == 2:
+            v = 0.5 * (v + interpolate_velocity(fields[1], p))
+        ok = ~np.isnan(v).any(axis=1)
+        live[live] = ok
+        r = r[ok]
+        ks = [kv[ok] for kv in ks] + [v[ok]]
+        if not len(r):
+            return live, r
+    f1, f2, f3, f4 = ks
+    return live, r + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
 
 
 def integrate_family(provider, starts, provenance="fd",
                      snapshot_indices=()):
     """Integrate several trajectories in one pass over the field lattice.
+
+    RK4 with the velocity at substage times linearly interpolated between
+    the two adjacent lattice velocity fields; each stage is one
+    interpolation call per field over every live trajectory.
 
     Returns (results, fields) where results is a list of
     (Trajectory, incursion_time_or_None) pairs -- a trajectory that runs
@@ -187,65 +263,53 @@ def integrate_family(provider, starts, provenance="fd",
     fields = {}
     if 0 in snapshot_indices:
         fields[0] = provider.field_at(0)
+    last_snapshot = max(snapshot_indices, default=0)
 
-    rs = [np.atleast_1d(np.asarray(s, dtype=float)).copy() for s in starts]
-    paths = [[r.copy()] for r in rs]
-    incursion = [None] * len(rs)
+    m = len(starts)
+    r = np.array([np.atleast_1d(np.asarray(s, dtype=float)) for s in starts])
+    positions = np.empty((m, n + 1) + r.shape[1:])
+    positions[:, 0] = r
+    steps = np.zeros(m, dtype=int)
+    incursion = [None] * m
+    live = np.arange(m)
 
     for k in range(n):
+        if not len(live) and k >= last_snapshot:
+            break
         va = provider.at(k)
         vb = provider.at(k + 1)
-        for j, r in enumerate(rs):
-            if incursion[j] is not None:
-                continue
-            try:
-                rs[j] = _rk4_point(r, dt, va, vb)
-                paths[j].append(rs[j].copy())
-            except MaskedRegion:
+        if len(live):
+            done, r_new = _rk4_stack(r[live], dt, va, vb)
+            for j in live[~done]:
                 incursion[j] = k * dt
+            live = live[done]
+            r[live] = r_new
+            positions[live, k + 1] = r_new
+            steps[live] = k + 1
         if k + 1 in snapshot_indices:
             fields[k + 1] = provider.field_at(k + 1)
 
     results = []
-    for j, path in enumerate(paths):
-        times = np.arange(len(path)) * dt
+    for j in range(m):
+        times = np.arange(steps[j] + 1) * dt
         results.append((Trajectory(times=times,
-                                   positions=np.array(path),
+                                   positions=positions[j, :steps[j] + 1],
                                    provenance=provenance), incursion[j]))
     return results, fields
 
 
-def integrate_trajectory(provider, start, t0=0.0, t1=None, dt=None,
-                         provenance="fd"):
-    """RK4 integration of dr/dt = v(r, t) against a lattice field provider.
+def integrate_trajectory(provider, start, provenance="fd"):
+    """One trajectory over the whole field lattice: a family of one.
 
-    The velocity at RK4 substage times is linearly interpolated between
-    the two adjacent lattice velocity fields. Raises MaskedRegion (with
-    the incursion time) if the path enters a near-node region.
+    Raises MaskedRegion (with the incursion time in ``t``) if the path
+    enters a near-node region.
     """
-    dt = provider.dt if dt is None else dt
-    if abs(dt - provider.dt) > 1e-15:
-        raise ValueError("trajectory dt must match the field lattice")
-    t1 = provider.n_steps * provider.dt if t1 is None else t1
-    k0 = int(round(t0 / dt))
-    k1 = int(round(t1 / dt))
-
-    r = np.atleast_1d(np.asarray(start, dtype=float)).copy()
-    times = [k0 * dt]
-    positions = [r.copy()]
-    for k in range(k0, k1):
-        va = provider.at(k)
-        vb = provider.at(k + 1)
-        try:
-            r = _rk4_point(r, dt, va, vb)
-        except MaskedRegion as exc:
-            raise MaskedRegion(
-                f"trajectory entered a node region at t={k * dt:.6g}: {exc}",
-                t=k * dt) from exc
-        times.append((k + 1) * dt)
-        positions.append(r.copy())
-    return Trajectory(times=np.array(times), positions=np.array(positions),
-                      provenance=provenance)
+    [(traj, incursion)], _ = integrate_family(provider, [start], provenance)
+    if incursion is not None:
+        raise MaskedRegion(
+            f"trajectory entered a node region at t={incursion:.6g}",
+            t=incursion)
+    return traj
 
 
 @dataclass(frozen=True)

@@ -49,12 +49,11 @@ def fig6_run(one_field):
     final = fields[5000]
 
     err = np.abs(final.to_complex() - one_field.psi(grid.axis(), 1.0))
-    deviations = []
-    for (traj, incursion), s in zip(results, FAN_STARTS):
-        ex = analytic.exact_trajectory(one_field, s, traj.times)
-        deviations.append(
-            float(np.abs(traj.positions - ex.positions).max()))
-        assert incursion is None
+    assert all(incursion is None for _, incursion in results)
+    exact = analytic.exact_trajectory(one_field, FAN_STARTS,
+                                      results[0][0].times)
+    deviations = [float(np.abs(traj.positions - ex.positions).max())
+                  for (traj, _), ex in zip(results, exact)]
     report = bohm.crossing_report([t for t, _ in results],
                                   min_separation=grid.delta / 10.0)
     return {

@@ -217,3 +217,55 @@ def test_continuity_along_exact_flow(one_field):
         div = (one_field.velocity(y + eps, t)
                - one_field.velocity(y - eps, t)) / (2 * eps)
         assert along == pytest.approx(-div, abs=5e-4)
+
+
+# -- batched oracle: a stack of starts gives the bits of each start alone --
+
+def _scalar_rk4(fld, start, t_grid):
+    """Reference: one start, velocity evaluated on numpy scalars."""
+    r = np.atleast_1d(np.asarray(start, dtype=float))
+    positions = [r]
+    for k in range(len(t_grid) - 1):
+        t0, h = t_grid[k], t_grid[k + 1] - t_grid[k]
+
+        def v(p, t):
+            return np.atleast_1d(np.asarray(fld.velocity(*p, t),
+                                            dtype=float))
+        k1 = v(r, t0)
+        k2 = v(r + 0.5 * h * k1, t0 + 0.5 * h)
+        k3 = v(r + 0.5 * h * k2, t0 + 0.5 * h)
+        k4 = v(r + h * k3, t0 + h)
+        r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        positions.append(r)
+    return np.array(positions)
+
+
+FAN = [(s,) for sign in (1, -1) for s in sign * np.arange(0.4, 1.81, 0.2)]
+
+
+@pytest.mark.parametrize("which, starts, dt", [
+    ("one", FAN, 2e-4),
+    ("boson", [(1.0, -0.6), (1.0, -1.4)], 2.5e-4),
+])
+def test_exact_trajectory_stack_equals_each_start(which, starts, dt,
+                                                  one_field, boson_field):
+    fld = one_field if which == "one" else boson_field
+    t_grid = np.arange(81) * dt
+    stack = analytic.exact_trajectory(fld, starts, t_grid)
+    assert len(stack) == len(starts)
+    for traj, s in zip(stack, starts):
+        alone = analytic.exact_trajectory(fld, s, t_grid)
+        assert np.array_equal(traj.positions, alone.positions)
+        assert np.array_equal(traj.times, alone.times)
+        assert np.array_equal(traj.positions, _scalar_rk4(fld, s, t_grid))
+
+
+def test_velocity_at_shapes(one_field, boson_field):
+    assert one_field.velocity_at((0.7,), 0.3).shape == (1,)
+    assert one_field.velocity_at([(0.7,), (0.9,)], 0.3).shape == (2, 1)
+    v = boson_field.velocity_at([(0.9, -0.4), (1.1, -0.2)], 0.8)
+    assert v.shape == (2, 2)
+    assert np.allclose(v[0], boson_field.velocity(0.9, -0.4, 0.8),
+                       rtol=1e-14)
+    with pytest.raises(NodeError):
+        one_field.velocity_at([(0.7,), (5.0,)], 0.0)

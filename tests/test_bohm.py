@@ -252,3 +252,97 @@ def test_crossing_report_2d_separation(boson_field):
     t2 = analytic.exact_trajectory(boson_field, (1.0, -0.6), t_grid)
     report = bohm.crossing_report([t1, t2], min_separation=1e-3)
     assert not report.ok
+
+
+# -- batched integration: a stack gives the bits of its members alone ------
+
+FAN_STARTS = tuple((s,) for sign in (+1, -1)
+                   for s in sign * np.arange(0.4, 1.81, 0.2))
+
+
+def _fd_provider(one_field, n=261, dt=2e-4, n_steps=30):
+    g = UniformGrid(-13.0, 13.0, n)
+    initial = analytic.sample_field(one_field, g, 0.0)
+    return lambda: bohm.FdFieldProvider(initial, dt, n_steps)
+
+
+def test_family_fan_equals_each_start_alone(one_field):
+    provider = _fd_provider(one_field)
+    family, _ = bohm.integrate_family(provider(), FAN_STARTS)
+    for (traj, incursion), s in zip(family, FAN_STARTS):
+        [(solo, solo_incursion)], _ = bohm.integrate_family(provider(), [s])
+        assert incursion is None and solo_incursion is None
+        assert np.array_equal(traj.times, solo.times)
+        assert np.array_equal(traj.positions, solo.positions)
+
+
+def test_family_masked_members_leave_the_others_unchanged(one_field):
+    # 131 points, 100 steps of 5e-4: a start at 2.3 reaches a masked
+    # stencil mid-run and one at 2.45 is masked from t=0.
+    provider = _fd_provider(one_field, n=131, dt=5e-4, n_steps=100)
+    starts = [(0.8,), (2.3,), (-0.8,), (2.45,), (1.2,)]
+    family, _ = bohm.integrate_family(provider(), starts)
+    steps = [len(traj.times) - 1 for traj, _ in family]
+    assert steps[0] == steps[2] == steps[4] == 100
+    assert 0 < steps[1] < 100 and steps[3] == 0
+    assert family[3][1] == 0.0
+    for (traj, incursion), s in zip(family, starts):
+        [(solo, solo_incursion)], _ = bohm.integrate_family(provider(), [s])
+        assert incursion == solo_incursion
+        assert np.array_equal(traj.times, solo.times)
+        assert np.array_equal(traj.positions, solo.positions)
+
+
+def test_integrate_trajectory_is_a_family_of_one(one_field):
+    provider = _fd_provider(one_field)
+    [(member, _)], _ = bohm.integrate_family(provider(), [(0.8,)])
+    traj = bohm.integrate_trajectory(provider(), (0.8,))
+    assert np.array_equal(traj.positions, member.positions)
+
+
+def test_interpolation_2d_stack_equals_single_points():
+    g = UniformGrid(-2.0, 2.0, 41, dim=2)
+    y1, y2 = g.meshgrid()
+    comps = (np.sin(y1) * np.cos(2 * y2), y1 * y2 ** 2)
+    mask = np.zeros(g.shape, dtype=bool)
+    mask[20, 20] = True           # one masked point: minority fallback
+    mask[5:12, 5:12] = True       # a masked block: majority-masked rows
+    vf = bohm.VelocityField(grid=g, t=0.0, components=comps, mask=mask)
+    pts = np.array([[0.37, -1.21],
+                    [0.03, 0.02],     # stencil touches mask[20, 20]
+                    [-1.45, -1.45],   # inside the masked block
+                    [1.9, -1.95],     # one-sided stencil at the edges
+                    [-0.61, 0.88]])
+    out = bohm.interpolate_velocity(vf, pts)
+    assert out.shape == (5, 2)
+    assert np.isnan(out[2]).all()
+    for i in (0, 1, 3, 4):
+        assert np.array_equal(out[i], bohm.interpolate_velocity(vf, pts[i]))
+    with pytest.raises(MaskedRegion):
+        bohm.interpolate_velocity(vf, pts[2])
+    # the minority-masked point took the fallback stencil and is still
+    # exact for the bicubic-representable component
+    assert out[1, 1] == pytest.approx(0.03 * 0.02 ** 2, abs=1e-12)
+
+
+def test_interpolation_1d_stack_equals_single_points():
+    g = UniformGrid(-2.0, 2.0, 41)
+    mask = np.zeros(41, dtype=bool)
+    mask[20] = True
+    mask[30:36] = True
+    vf = _synthetic_vf(g, np.sin, mask=mask)
+    xs = np.array([-1.93, -0.47, g.axis()[20] + 0.03, 1.22, 1.99])
+    out = bohm.interpolate_velocity(vf, xs[:, None])
+    assert np.isnan(out[3]).all()
+    for i in (0, 1, 2, 4):
+        assert np.array_equal(out[i],
+                              bohm.interpolate_velocity(vf, xs[i:i + 1]))
+
+
+def test_interpolation_outside_grid_raises_for_a_stack():
+    g = UniformGrid(-2.0, 2.0, 41)
+    vf = _synthetic_vf(g, np.sin)
+    with pytest.raises(ValueError):
+        bohm.interpolate_velocity(vf, np.array([[0.1], [2.5]]))
+    with pytest.raises(ValueError):
+        bohm.interpolate_velocity(vf, np.array([[0.1], [np.nan]]))

@@ -222,3 +222,66 @@ def test_list_scenarios(capsys):
 def test_unknown_scenario_exits_1(capsys):
     assert cli.main(["run", "no_such_scenario"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_masked_and_truncated_starts_are_reported(tmp_path, capsys):
+    # 2.3 reaches a masked stencil mid-run; 5.0 is masked from t=0
+    text = FD_CFG.replace("trajectory.starts = 0.8; -0.8",
+                          "trajectory.starts = 0.8; -0.8; 2.3; 5.0")
+    cfg_path = _write(tmp_path, "tiny.cfg", text)
+    out = str(tmp_path / "runs")
+    assert cli.main(["run", cfg_path, "--out", out]) == 0
+    manifest_path = os.path.join(out, "tiny_fd", "manifest.json")
+    with open(manifest_path) as fh:
+        errors = json.load(fh)["errors"]
+    entries = errors["trajectories"]
+    assert [e["steps_completed"] for e in entries][:2] == [100, 100]
+    assert 0 < entries[2]["steps_completed"] < 100
+    assert entries[2]["max_deviation"] is not None
+    assert entries[3]["steps_completed"] == 0
+    assert entries[3]["incursion_time"] == 0.0
+    for key in ("max_deviation", "max_deviation_off_node",
+                "max_deviation_in_node"):
+        assert entries[3][key] is None
+    assert errors["crossings"] == {"n_violations": 0,
+                                   "n_trajectories_checked": 2}
+    capsys.readouterr()
+    assert cli.main(["compare", manifest_path]) == 0
+    report = capsys.readouterr().out
+    assert "trajectory 3 from [5.0]: not run" in report
+    assert "trajectory 2 from [2.3]: max dev" in report
+
+
+def _flagged_deviation_loop(traj, exact_traj, exact_field):
+    """Reference: the density check one recorded time at a time."""
+    n = min(len(traj.times), len(exact_traj.times))
+    dev = np.linalg.norm(traj.positions[:n] - exact_traj.positions[:n],
+                         axis=1)
+    flagged = np.array([
+        float(np.abs(exact_field.psi(*traj.positions[i], traj.times[i]))
+              ** 2) < cli.NODE_FLAG_REL
+        * exact_field.peak_density(traj.times[i]) for i in range(n)])
+    off, on = dev[~flagged], dev[flagged]
+    return {
+        "max_deviation": float(dev.max()),
+        "max_deviation_off_node": float(off.max()) if len(off) else 0.0,
+        "max_deviation_in_node": float(on.max()) if len(on) else 0.0,
+        "n_flagged_times": int(flagged.sum()),
+    }
+
+
+def test_flagged_deviation_matches_per_time_loop(one_field):
+    from slitsim import analytic, bohm
+    from slitsim.core import UniformGrid
+    g = UniformGrid(-13.0, 13.0, 131)
+    initial = analytic.sample_field(one_field, g, 0.0)
+    provider = bohm.FdFieldProvider(initial, 2e-3, 250)
+    starts = [(0.1,), (0.4,), (1.0,), (1.7,), (-0.3,)]
+    results, _ = bohm.integrate_family(provider, starts)
+    n_flagged = 0
+    for (traj, _), s in zip(results, starts):
+        ex = analytic.exact_trajectory(one_field, s, traj.times)
+        got = cli._flagged_deviation(traj, ex, one_field)
+        assert got == _flagged_deviation_loop(traj, ex, one_field)
+        n_flagged += got["n_flagged_times"]
+    assert n_flagged > 0      # the check saw node regions
