@@ -9,14 +9,14 @@ against the exact oracle.
 """
 
 from .core import (ComplexField, MwlsConfig, ScenarioConfig, UniformGrid,
-                   WavePacketParams, norm, probability_density)
+                   WavePacketParams, norm)
 from .errors import (ConfigError, GridTooSmall, IllConditioned,
-                     MaskedRegion, NodeError, NormDrift, SlitsimError,
+                     MaskedRegion, NodeError, OutsideGrid, SlitsimError,
                      TooFewPoints)
 
 __all__ = [
     "ComplexField", "MwlsConfig", "ScenarioConfig", "UniformGrid",
-    "WavePacketParams", "norm", "probability_density",
+    "WavePacketParams", "norm",
     "ConfigError", "GridTooSmall", "IllConditioned", "MaskedRegion",
-    "NodeError", "NormDrift", "SlitsimError", "TooFewPoints",
+    "NodeError", "OutsideGrid", "SlitsimError", "TooFewPoints",
 ]

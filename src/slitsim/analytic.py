@@ -78,17 +78,6 @@ def _packet(y, t, center, sigma0, rounding=NATIVE):
                                      / (4.0 * sigma0 * st)))
 
 
-def psi_slit(params, slit, y, t):
-    """Single-slit packet: slit A is centered at +Y, slit B at -Y.
-
-    psi_A(y, t) = psi_B(-y, t) by the mirror symmetry of the setup.
-    """
-    if slit not in (SLIT_A, SLIT_B):
-        raise ValueError(f"slit must be 'A' or 'B', got {slit!r}")
-    center = params.Y if slit == SLIT_A else -params.Y
-    return _packet(np.asarray(y, dtype=float), t, center, params.sigma0)
-
-
 def _overlap(params):
     """t=0 overlap integral of the two slit packets: exp(-Y^2/(2 sigma0^2))."""
     return np.exp(-params.Y ** 2 / (2.0 * params.sigma0 ** 2))
@@ -259,7 +248,7 @@ class OneParticleField(ExactField):
         return self.norm_constant * (self._a.lap(y, t) + self._b.lap(y, t))
 
     def peak_density(self, t):
-        # |N(psi_A + psi_B)|^2 <= 4 N^2 max|psi_slit|^2
+        # |N(psi_A + psi_B)|^2 <= 4 N^2 max|psi_A|^2
         return 4.0 * self.norm_constant ** 2 * self._a.peak_density(t)
 
 
@@ -306,27 +295,6 @@ class TwoParticleField(ExactField):
 
     def peak_density(self, t):
         return 4.0 * self.norm_constant ** 2 * self._a.peak_density(t) ** 2
-
-
-def psi_one(params, y, t):
-    """One-particle interference wave function (y factor only)."""
-    return OneParticleField(params).psi(y, t)
-
-
-def psi_two(params, y1, y2, t):
-    """Two-particle interference wave function (y factors only)."""
-    return TwoParticleField(params).psi(y1, y2, t)
-
-
-def exact_velocity(fld, point, t):
-    """Bohmian velocity vector of an exact field at one point."""
-    return fld.velocity_at(point, t)
-
-
-def exact_quantum_potential(fld, point, t):
-    """Quantum potential of an exact field at one point."""
-    pt = np.atleast_1d(np.asarray(point, dtype=float))
-    return float(fld.quantum_potential(*pt, t))
 
 
 def field_for(params, field_kind=""):

@@ -20,7 +20,7 @@ import numpy as np
 from . import fd_solver
 from .analytic import Trajectory
 from .core import EPS_NODE, ComplexField
-from .errors import MaskedRegion
+from .errors import MaskedRegion, OutsideGrid
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ def interpolate_velocity(vf, points):
     A single point of shape (dim,) gives a (dim,) vector and raises
     MaskedRegion where its stencil is majority-masked. A stack of shape
     (m, dim) gives (m, dim), with a NaN row for each such point. Points
-    outside the grid raise ValueError either way.
+    outside the grid raise OutsideGrid either way.
     """
     grid = vf.grid
     pts = np.asarray(points, dtype=float)
@@ -148,7 +148,7 @@ def interpolate_velocity(vf, points):
     pts = pts.reshape(-1, grid.dim)
     inside = np.all((pts >= grid.lo) & (pts <= grid.hi), axis=1)
     if not inside.all():
-        raise ValueError(f"point {pts[~inside][0]} outside the grid")
+        raise OutsideGrid(f"point {pts[~inside][0]} outside the grid")
 
     # All stencils at once: indices and weights (m, 4) per axis, values
     # (m, 4[, 4]). In 2D the row pass runs along axis 1 for all m x 4

@@ -17,9 +17,9 @@ from importlib import resources
 
 import numpy as np
 
-from . import bohm, hydro_solver
+from . import bohm, fd_solver, hydro_solver
 from .analytic import exact_trajectory, field_for, sample_field
-from .config import load_config
+from .config import load_config, spec_from_dict, spec_to_dict
 from .core import MwlsConfig, norm
 from .errors import SlitsimError
 from .mwls import JetOperator
@@ -43,33 +43,6 @@ def _write_csv(path, header, rows):
         for row in rows:
             writer.writerow([c if isinstance(c, str) else _fmt(c)
                              for c in row])
-
-
-def _config_dict(spec):
-    cfg = spec.config
-    return {
-        "scenario": cfg.scenario,
-        "mode": spec.mode,
-        "solver": cfg.solver,
-        "field_kind": cfg.field_kind,
-        "packet": {
-            "Y": cfg.packet.Y, "sigma0": cfg.packet.sigma0,
-            "kx": cfg.packet.kx, "particles": cfg.packet.particles,
-            "exchange_sign": cfg.packet.exchange_sign,
-        },
-        "grid": {"lo": cfg.grid.lo, "hi": cfg.grid.hi,
-                 "n": cfg.grid.n, "dim": cfg.grid.dim},
-        "t_final": cfg.t_final,
-        "n_steps": cfg.n_steps,
-        "trajectory_starts": [list(s) for s in cfg.trajectory_starts],
-        "snapshot_times": list(cfg.snapshot_times),
-        "mwls": None if cfg.mwls is None else {
-            "n_neighbors": cfg.mwls.n_neighbors,
-            "poly_order": cfg.mwls.poly_order,
-            "weight_width": cfg.mwls.weight_width,
-        },
-        "qp_orders": list(spec.qp_orders),
-    }
 
 
 def _snapshot_rows_1d(t, fld):
@@ -125,8 +98,7 @@ def run_fd(spec, out_dir):
     norm0 = norm(initial)
     provider = bohm.FdFieldProvider(initial, cfg.dt, cfg.n_steps)
 
-    snap_idx = sorted({int(round(t / cfg.dt)) for t in cfg.snapshot_times}
-                      | {cfg.n_steps})
+    snap_idx = cfg.snapshot_indices
     results, fields = bohm.integrate_family(
         provider, cfg.trajectory_starts, snapshot_indices=snap_idx)
 
@@ -192,7 +164,7 @@ def run_fd(spec, out_dir):
         crossings = {"n_violations": len(report.violations),
                      "n_trajectories_checked": report.n_trajectories}
 
-    status = "Valid" if norm_drift <= 1e-6 else "Degraded"
+    status = "Valid" if norm_drift <= fd_solver.NORM_TOLERANCE else "Degraded"
     errors = {
         "norm_drift": norm_drift,
         "field": field_errors,
@@ -329,7 +301,7 @@ def run(config_path, out_root=None):
         fh.write(_plot_script(spec))
 
     manifest = {
-        "config": _config_dict(spec),
+        "config": spec_to_dict(spec),
         "solver": spec.config.solver,
         "status": status,
         "wall_time_s": wall,
@@ -343,33 +315,13 @@ def run(config_path, out_root=None):
     return manifest, (0 if status == "Valid" else 2)
 
 
-def _rebuild_spec(manifest):
-    from .config import RunSpec
-    from .core import ScenarioConfig, UniformGrid, WavePacketParams
-    c = manifest["config"]
-    packet = WavePacketParams(**c["packet"])
-    grid = UniformGrid(lo=c["grid"]["lo"], hi=c["grid"]["hi"],
-                       n=c["grid"]["n"], dim=c["grid"]["dim"])
-    mwls = None
-    if c["mwls"]:
-        mwls = MwlsConfig(**c["mwls"])
-    cfg = ScenarioConfig(
-        packet=packet, grid=grid, t_final=c["t_final"],
-        n_steps=c["n_steps"], solver=c["solver"],
-        trajectory_starts=tuple(tuple(s) for s in c["trajectory_starts"]),
-        mwls=mwls, snapshot_times=tuple(c["snapshot_times"]),
-        scenario=c["scenario"], field_kind=c["field_kind"])
-    return RunSpec(config=cfg, mode=c["mode"],
-                   qp_orders=tuple(c["qp_orders"]))
-
-
 def compare(manifest_path, oracle="exact"):
     """Per-snapshot / per-trajectory error report against the exact oracle."""
     if oracle != "exact":
         raise SlitsimError(f"unknown oracle {oracle!r}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    spec = _rebuild_spec(manifest)
+    spec = spec_from_dict(manifest["config"])
     cfg = spec.config
     out_dir = os.path.dirname(os.path.abspath(manifest_path))
     exact_field = field_for(cfg.packet, cfg.field_kind)

@@ -19,7 +19,7 @@ One `key = value` pair per line, `#` starts a comment. Keys:
     out.dir             output directory (overridden by $SLITSIM_OUT)
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .core import (MwlsConfig, ScenarioConfig, UniformGrid,
                    WavePacketParams)
@@ -175,3 +175,43 @@ def load_config(path):
     """Parse a scenario file from disk."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
+
+
+def spec_to_dict(spec):
+    """JSON-ready form of a RunSpec: the `config` entry of a run manifest.
+
+    out_dir is not recorded; spec_from_dict restores its default.
+    """
+    cfg = spec.config
+    return {
+        "scenario": cfg.scenario,
+        "mode": spec.mode,
+        "solver": cfg.solver,
+        "field_kind": cfg.field_kind,
+        "packet": asdict(cfg.packet),
+        "grid": asdict(cfg.grid),
+        "t_final": cfg.t_final,
+        "n_steps": cfg.n_steps,
+        "trajectory_starts": [list(s) for s in cfg.trajectory_starts],
+        "snapshot_times": list(cfg.snapshot_times),
+        "mwls": None if cfg.mwls is None else asdict(cfg.mwls),
+        "qp_orders": list(spec.qp_orders),
+    }
+
+
+def spec_from_dict(d):
+    """RunSpec from the output of spec_to_dict (e.g. read from a manifest)."""
+    config = ScenarioConfig(
+        packet=WavePacketParams(**d["packet"]),
+        grid=UniformGrid(**d["grid"]),
+        t_final=d["t_final"],
+        n_steps=d["n_steps"],
+        solver=d["solver"],
+        trajectory_starts=tuple(tuple(s) for s in d["trajectory_starts"]),
+        mwls=None if d["mwls"] is None else MwlsConfig(**d["mwls"]),
+        snapshot_times=tuple(d["snapshot_times"]),
+        scenario=d["scenario"],
+        field_kind=d["field_kind"],
+    )
+    return RunSpec(config=config, mode=d["mode"],
+                   qp_orders=tuple(d["qp_orders"]))

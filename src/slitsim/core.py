@@ -135,11 +135,6 @@ def norm(fld):
     return float(np.trapezoid(np.trapezoid(dens, dx=d, axis=1), dx=d))
 
 
-def probability_density(fld, index):
-    """|psi|^2 at a single grid point (index is an int in 1D, a pair in 2D)."""
-    return float(fld.re[index] ** 2 + fld.im[index] ** 2)
-
-
 @dataclass(frozen=True)
 class MwlsConfig:
     """Moving-weighted-least-squares fit parameters.
@@ -160,16 +155,6 @@ class MwlsConfig:
             raise ValueError("poly_order must be >= 2")
         if self.weight_width != "auto" and not self.weight_width > 0:
             raise ValueError('weight_width must be positive or "auto"')
-
-    def basis_size(self, dim):
-        """Number of basis polynomials M for total degree <= poly_order."""
-        p = self.poly_order
-        m = p + 1 if dim == 1 else (p + 1) * (p + 2) // 2
-        if self.n_neighbors < m:
-            raise ValueError(
-                f"n_neighbors={self.n_neighbors} < basis size {m}: "
-                "least squares would be underdetermined")
-        return m
 
 
 SOLVERS = ("schrodinger_fd", "hydro_lagrange", "hydro_euler")
@@ -207,3 +192,11 @@ class ScenarioConfig:
     @property
     def dt(self):
         return self.t_final / self.n_steps
+
+    @property
+    def snapshot_indices(self):
+        """Sorted step indices of the snapshot times (snapped to the step
+        lattice) plus the final step."""
+        return tuple(sorted({int(round(t / self.dt))
+                             for t in self.snapshot_times}
+                            | {self.n_steps}))

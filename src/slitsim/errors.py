@@ -14,13 +14,9 @@ class GridTooSmall(SlitsimError):
     """Grid has fewer points per axis than the boundary stencils need."""
 
 
-class NormDrift(SlitsimError):
-    """Norm conservation tolerance exceeded during propagation (usually a
-    sign that the time step is too large for the grid)."""
-
-
 class TooFewPoints(SlitsimError):
-    """Point set smaller than the requested neighbor count."""
+    """Point set smaller than the requested neighbor count, or fewer
+    neighbors than basis polynomials."""
 
 
 class IllConditioned(SlitsimError):
@@ -37,6 +33,10 @@ class MaskedRegion(SlitsimError):
     def __init__(self, message, t=None):
         super().__init__(message)
         self.t = t
+
+
+class OutsideGrid(SlitsimError, ValueError):
+    """Point outside the grid, e.g. a trajectory that left the domain."""
 
 
 class ConfigError(SlitsimError):

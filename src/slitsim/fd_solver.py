@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MIN_POINTS, ComplexField
-from .errors import GridTooSmall, NormDrift
-from . import core
+from .errors import GridTooSmall
 
 # Second-derivative boundary weights, common factor 1/(12 delta^2); the
 # interior uses the 5-point central formula, the outermost point the fully
@@ -68,23 +67,13 @@ def _first_derivative_axis(f, delta, axis=0):
     return np.moveaxis(out, 0, axis)
 
 
-def laplacian_1d(values, grid):
-    """4th-order Laplacian of a 1D sampled function."""
-    return _second_derivative_axis(np.asarray(values, dtype=float),
-                                   grid.delta)
-
-
-def laplacian_2d(values, grid):
-    """Axis-by-axis 4th-order Laplacian on a square 2D grid."""
-    f = np.asarray(values, dtype=float)
-    return (_second_derivative_axis(f, grid.delta, axis=0)
-            + _second_derivative_axis(f, grid.delta, axis=1))
-
-
 def laplacian(values, grid):
-    if grid.dim == 1:
-        return laplacian_1d(values, grid)
-    return laplacian_2d(values, grid)
+    """4th-order Laplacian; axis by axis on a square 2D grid."""
+    f = np.asarray(values, dtype=float)
+    out = _second_derivative_axis(f, grid.delta)
+    if grid.dim == 2:
+        out += _second_derivative_axis(f, grid.delta, axis=1)
+    return out
 
 
 def gradient(values, grid):
@@ -92,16 +81,6 @@ def gradient(values, grid):
     f = np.asarray(values, dtype=float)
     return tuple(_first_derivative_axis(f, grid.delta, axis=a)
                  for a in range(grid.dim))
-
-
-def stencil_plan(grid):
-    """Per-index stencil classification along one axis (diagnostic aid)."""
-    labels = ["interior"] * grid.n
-    labels[0] = "left_edge"
-    labels[1] = "left_skew"
-    labels[-2] = "right_skew"
-    labels[-1] = "right_edge"
-    return tuple(labels)
 
 
 @dataclass(frozen=True)
@@ -120,40 +99,21 @@ class FdState:
             raise ValueError("potential shape must match the grid")
 
 
-def rhs(state):
+def rhs(re, im, grid, potential):
     """Time derivatives (d psi_R/dt, d psi_I/dt) of the split system."""
-    grid = state.field.grid
-    re, im, v = state.field.re, state.field.im, state.potential
-    dre = -0.5 * laplacian(im, grid) + v * im
-    dim = 0.5 * laplacian(re, grid) - v * re
-    return dre, dim
-
-
-def _rhs_arrays(re, im, grid, v):
-    dre = -0.5 * laplacian(im, grid) + v * im
-    dim = 0.5 * laplacian(re, grid) - v * re
+    dre = -0.5 * laplacian(im, grid) + potential * im
+    dim = 0.5 * laplacian(re, grid) - potential * re
     return dre, dim
 
 
 def _rk4_arrays(re, im, grid, v, dt):
-    k1r, k1i = _rhs_arrays(re, im, grid, v)
-    k2r, k2i = _rhs_arrays(re + 0.5 * dt * k1r, im + 0.5 * dt * k1i, grid, v)
-    k3r, k3i = _rhs_arrays(re + 0.5 * dt * k2r, im + 0.5 * dt * k2i, grid, v)
-    k4r, k4i = _rhs_arrays(re + dt * k3r, im + dt * k3i, grid, v)
+    k1r, k1i = rhs(re, im, grid, v)
+    k2r, k2i = rhs(re + 0.5 * dt * k1r, im + 0.5 * dt * k1i, grid, v)
+    k3r, k3i = rhs(re + 0.5 * dt * k2r, im + 0.5 * dt * k2i, grid, v)
+    k4r, k4i = rhs(re + dt * k3r, im + dt * k3i, grid, v)
     re_new = re + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
     im_new = im + (dt / 6.0) * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
     return re_new, im_new
-
-
-def rk4_step(state, dt):
-    """One classic RK4 step of the coupled 2N-component system."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    grid = state.field.grid
-    re, im = _rk4_arrays(state.field.re, state.field.im, grid,
-                         state.potential, dt)
-    return FdState(field=ComplexField(grid=grid, re=re, im=im),
-                   t=state.t + dt, potential=state.potential)
 
 
 def iterate(state, dt, n_steps):
@@ -168,35 +128,6 @@ def iterate(state, dt, n_steps):
                       t=t, potential=v)
 
 
+#: Largest |norm(t) - norm(0)| of a Valid run; more means the time step is
+#: too large for the grid.
 NORM_TOLERANCE = 1e-6
-
-
-def propagate(config, initial_field, potential=None, norm_tolerance=NORM_TOLERANCE):
-    """Run the configured Schrodinger propagation, returning snapshots.
-
-    Snapshots are recorded at the requested times (snapped to the step
-    lattice) plus t_final; each is checked against the norm-drift guard.
-    """
-    dt = config.dt
-    state = FdState(field=initial_field, t=0.0, potential=potential)
-    norm0 = core.norm(initial_field)
-
-    wanted = set()
-    for t_snap in config.snapshot_times:
-        wanted.add(int(round(t_snap / dt)))
-    wanted.add(config.n_steps)
-    wanted.discard(0)
-
-    snapshots = []
-    if 0 in {int(round(t / dt)) for t in config.snapshot_times}:
-        snapshots.append((0.0, initial_field))
-
-    for k, st in enumerate(iterate(state, dt, config.n_steps), start=1):
-        if k in wanted:
-            drift = abs(core.norm(st.field) - norm0)
-            if drift > norm_tolerance:
-                raise NormDrift(
-                    f"norm drift {drift:.3e} at t={st.t:.6g} exceeds "
-                    f"{norm_tolerance:.1e} (time step too large for grid?)")
-            snapshots.append((st.t, st.field))
-    return snapshots

@@ -147,7 +147,7 @@ class StencilEngine:
     def derive(self, values):
         values = np.asarray(values, dtype=float)
         dy = fd_solver.gradient(values, self._grid)[0]
-        d2y = fd_solver.laplacian_1d(values, self._grid)
+        d2y = fd_solver.laplacian(values, self._grid)
         return values.copy(), dy, d2y
 
 
@@ -172,20 +172,13 @@ def eulerian_step(ensemble, dt, engine, potential=None):
 
 
 def _exact_profiles(field, y, t):
-    """Exact velocity and quantum potential with NaN inside node regions."""
-    p = field.psi(y, t)
-    dens = np.abs(p) ** 2
-    ok = dens > 0.0
+    """Exact velocity and quantum potential, NaN where |psi|^2 is zero."""
+    ok = np.abs(field.psi(y, t)) ** 2 > 0.0
     v = np.full_like(y, np.nan, dtype=float)
     q = np.full_like(y, np.nan, dtype=float)
     if np.any(ok):
-        d = field.grad(y[ok], t)[0]
-        lp = field.lap(y[ok], t)
-        psi_ok = p[ok]
-        v[ok] = np.imag(np.conj(psi_ok) * d) / dens[ok]
-        dlog = d / psi_ok
-        q[ok] = -0.5 * (np.real(dlog) ** 2
-                        + np.real(lp / psi_ok - dlog ** 2))
+        v[ok] = field.velocity(y[ok], t, node_floor=0.0)
+        q[ok] = field.quantum_potential(y[ok], t)
     return v, q
 
 
@@ -234,8 +227,7 @@ def propagate_hydro(config, potential=None, engine_kind="mwls", points=None):
     ensemble = init_from_exact(field, points)
     dt = config.dt
 
-    wanted = {int(round(t / dt)) for t in config.snapshot_times}
-    wanted.add(config.n_steps)
+    wanted = config.snapshot_indices
 
     engine = None
     if config.solver == "hydro_euler":

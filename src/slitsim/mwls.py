@@ -55,101 +55,29 @@ def monomial_exponents(dim, order):
     return tuple(out)
 
 
-def select_neighbors(points, r0, n_neighbors):
-    """Indices of the n_neighbors points nearest to r0 (ties by index)."""
-    pts = _as_points(points)
-    if len(pts) < n_neighbors:
-        raise TooFewPoints(
-            f"requested {n_neighbors} neighbors from {len(pts)} points")
-    r0 = np.atleast_1d(np.asarray(r0, dtype=float))
-    dist = np.linalg.norm(pts - r0, axis=1)
-    return np.argsort(dist, kind="stable")[:n_neighbors]
+def _neighbor_sigma(d2, width):
+    """Per-neighbor standard errors sigma_n = exp(|r_n - r0|^2 / (2 width^2)).
 
-
-def gaussian_weights(points, r0, width):
-    """Per-point standard errors sigma_n = exp(|r_n - r0|^2 / (2 width^2)).
-
-    Larger sigma means smaller weight, so closer points dominate the fit.
-    width="auto" uses the mean distance from r0 to the given points.
+    d2 holds squared distances, one row per target. Larger sigma means
+    smaller weight, so closer points dominate the fit. width="auto" uses
+    each target's mean neighbor distance.
     """
-    pts = _as_points(points)
-    r0 = np.atleast_1d(np.asarray(r0, dtype=float))
-    d2 = np.sum((pts - r0) ** 2, axis=1)
     if width == "auto":
-        width = np.sqrt(d2).mean()
-        if width == 0.0:
-            return np.ones_like(d2)
-    return np.exp(d2 / (2.0 * width ** 2))
-
-
-def _design_matrix(offsets, exponents):
-    """Vandermonde-style basis matrix P[n, s] = p_s(r_n - r0)."""
-    cols = [np.prod(offsets ** np.asarray(e, dtype=float), axis=1)
-            for e in exponents]
-    return np.column_stack(cols)
-
-
-def fit(points, values, r0, config, sigma=None):
-    """Weighted least-squares coefficients a at expansion point r0.
-
-    `points` are the neighbor locations entering the fit (no further
-    selection happens here). Raises IllConditioned when the scaled normal
-    matrix has a condition estimate above CONDITION_LIMIT.
-    """
-    pts = _as_points(points)
-    n, dim = pts.shape
-    exponents = monomial_exponents(dim, config.poly_order)
-    m = len(exponents)
-    if n < m:
-        raise TooFewPoints(f"{n} points cannot support {m} basis polynomials")
-
-    r0 = np.atleast_1d(np.asarray(r0, dtype=float))
-    offsets = pts - r0
-    if sigma is None:
-        sigma = gaussian_weights(pts, r0, config.weight_width)
-
-    h = np.linalg.norm(offsets, axis=1).mean()
-    if h == 0.0:
-        h = 1.0
-    a_mat = _design_matrix(offsets / h, exponents) / sigma[:, None]
-    b = np.asarray(values, dtype=float) / sigma
-    gram = a_mat.T @ a_mat
-
-    evals = np.linalg.eigvalsh(gram)
-    cond = np.inf if evals[0] <= 0 else evals[-1] / evals[0]
-    if cond > CONDITION_LIMIT:
-        raise IllConditioned(
-            f"normal-equation condition estimate {cond:.3e} exceeds "
-            f"{CONDITION_LIMIT:.1e}")
-
-    a_scaled = np.linalg.solve(gram, a_mat.T @ b)
-    degrees = np.array([sum(e) for e in exponents], dtype=float)
-    return a_scaled / h ** degrees, cond
-
-
-def jet_from_coefficients(a, cond, dim, order):
-    """Extract value / gradient / Laplacian from the coefficient vector."""
-    exponents = monomial_exponents(dim, order)
-    grad = np.zeros(dim)
-    lap = 0.0
-    for coeff, e in zip(a, exponents):
-        if sum(e) == 1:
-            grad[e.index(1)] = coeff
-        elif sum(e) == 2 and 2 in e:
-            lap += 2.0 * coeff
-    return DerivativeJet(value=float(a[0]), gradient=grad,
-                         laplacian=float(lap), condition_estimate=float(cond))
+        width = np.sqrt(d2).mean(axis=1, keepdims=True)
+        width[width == 0.0] = 1.0
+    else:
+        width = float(width)
+    return np.exp(d2 / (2.0 * np.asarray(width) ** 2))
 
 
 def derivative_jet(points, values, r0, config):
-    """Value, gradient, and Laplacian of scattered data at r0."""
-    pts = _as_points(points)
-    values = np.asarray(values, dtype=float)
-    idx = select_neighbors(pts, r0, config.n_neighbors)
-    neighbors = pts[idx]
-    sigma = gaussian_weights(neighbors, r0, config.weight_width)
-    a, cond = fit(neighbors, values[idx], r0, config, sigma=sigma)
-    return jet_from_coefficients(a, cond, pts.shape[1], config.poly_order)
+    """Value, gradient, and Laplacian of scattered data at one point r0."""
+    op = JetOperator(points, config,
+                     targets=np.reshape(np.asarray(r0, dtype=float), (1, -1)))
+    value, grad, lap = op.apply(values)
+    return DerivativeJet(value=float(value[0]), gradient=grad[0],
+                         laplacian=float(lap[0]),
+                         condition_estimate=float(op.condition_estimates[0]))
 
 
 class JetOperator:
@@ -172,18 +100,16 @@ class JetOperator:
         if n_pts < nb:
             raise TooFewPoints(
                 f"requested {nb} neighbors from {n_pts} points")
+        if nb < m:
+            raise TooFewPoints(
+                f"{nb} neighbors cannot support {m} basis polynomials")
 
         dist = np.linalg.norm(tgt[:, None, :] - pts[None, :, :], axis=2)
         self.neighbor_idx = np.argsort(dist, axis=1, kind="stable")[:, :nb]
         offsets = pts[self.neighbor_idx] - tgt[:, None, :]   # (nt, nb, dim)
         d2 = np.sum(offsets ** 2, axis=2)
 
-        if config.weight_width == "auto":
-            width = np.sqrt(d2).mean(axis=1, keepdims=True)
-            width[width == 0.0] = 1.0
-        else:
-            width = float(config.weight_width)
-        sigma = np.exp(d2 / (2.0 * np.asarray(width) ** 2))
+        sigma = _neighbor_sigma(d2, config.weight_width)
 
         h = np.sqrt(d2).mean(axis=1)
         h[h == 0.0] = 1.0
@@ -201,9 +127,8 @@ class JetOperator:
                             np.inf)
         self.condition_estimates = cond
         if np.any(cond > CONDITION_LIMIT):
-            worst = float(np.max(cond[np.isfinite(cond)], initial=np.inf))
             raise IllConditioned(
-                f"normal-equation condition estimate {worst:.3e} exceeds "
+                f"normal-equation condition estimate {cond.max():.3e} exceeds "
                 f"{CONDITION_LIMIT:.1e} at "
                 f"{int(np.sum(cond > CONDITION_LIMIT))} point(s)")
 

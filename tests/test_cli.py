@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from slitsim import cli
-from slitsim.config import parse_config, load_config
+from slitsim.config import (load_config, parse_config, spec_from_dict,
+                            spec_to_dict)
 from slitsim.errors import ConfigError
 
 FD_CFG = """\
@@ -127,6 +128,13 @@ def test_bundled_scenarios_parse():
                                       "hydro_euler")
 
 
+def test_bundled_scenarios_round_trip_through_json():
+    for name in cli.bundled_scenarios():
+        spec = load_config(cli.scenario_path(name))
+        data = json.loads(json.dumps(spec_to_dict(spec)))
+        assert spec_from_dict(data) == spec
+
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -222,6 +230,40 @@ def test_list_scenarios(capsys):
 def test_unknown_scenario_exits_1(capsys):
     assert cli.main(["run", "no_such_scenario"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_unstable_step_detected(tmp_path):
+    # grossly exceeding the explicit stability limit must not pass silently
+    text = (FD_CFG.replace("grid.n = 131", "grid.n = 261")
+            .replace("t_final = 0.05", "t_final = 1")
+            .replace("n_steps = 100", "n_steps = 20")
+            .replace("trajectory.starts = 0.8; -0.8\n", ""))
+    cfg_path = _write(tmp_path, "unstable.cfg", text)
+    manifest, code = cli.run(cfg_path, out_root=str(tmp_path / "runs"))
+    assert code == 2
+    assert manifest["status"] == "Degraded"
+    assert manifest["errors"]["norm_drift"] > 1e-6
+
+
+def test_trajectory_leaving_the_grid_is_an_error(tmp_path, capsys):
+    text = FD_CFG.replace("grid.lo = -13", "grid.lo = -2").replace(
+        "grid.hi = 13", "grid.hi = 2").replace("grid.n = 131", "grid.n = 81")
+    text = text.replace("t_final = 0.05", "t_final = 0.1").replace(
+        "n_steps = 100", "n_steps = 500").replace(
+        "trajectory.starts = 0.8; -0.8", "trajectory.starts = 1.9; 0.5")
+    cfg_path = _write(tmp_path, "edge.cfg", text)
+    assert cli.main(["run", cfg_path, "--out", str(tmp_path / "runs")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "outside the grid" in err
+    assert "Traceback" not in err
+
+
+def test_underdetermined_mwls_is_an_error(tmp_path, capsys):
+    text = HYDRO_CFG.replace("mwls.neighbors = 12", "mwls.neighbors = 4")
+    cfg_path = _write(tmp_path, "under.cfg", text)
+    assert cli.main(["run", cfg_path, "--out", str(tmp_path / "runs")]) == 1
+    err = capsys.readouterr().err
+    assert "error: 4 neighbors cannot support 6 basis polynomials" in err
 
 
 def test_masked_and_truncated_starts_are_reported(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Finite-difference stencils, RK4 stepping, and propagation."""
+"""Finite-difference stencils and RK4 stepping."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from slitsim import analytic, fd_solver
 from slitsim.core import (ComplexField, ScenarioConfig, UniformGrid,
                           WavePacketParams, norm)
-from slitsim.errors import NormDrift
 
 
 def test_second_derivative_exact_on_quartics():
@@ -16,7 +15,7 @@ def test_second_derivative_exact_on_quartics():
     y = g.axis()
     f = y ** 4 - 2.0 * y ** 3 + 0.5 * y
     exact = 12.0 * y ** 2 - 12.0 * y
-    assert np.allclose(fd_solver.laplacian_1d(f, g), exact, atol=1e-10)
+    assert np.allclose(fd_solver.laplacian(f, g), exact, atol=1e-10)
 
 
 def test_first_derivative_exact_on_quartics():
@@ -49,7 +48,7 @@ def _laplacian_error(n):
     g = UniformGrid(-1.0, 1.0, n)
     y = g.axis()
     f = np.sin(3.0 * y)
-    err = np.abs(fd_solver.laplacian_1d(f, g) + 9.0 * np.sin(3.0 * y))
+    err = np.abs(fd_solver.laplacian(f, g) + 9.0 * np.sin(3.0 * y))
     # interior rows only: the one-sided edge rows are also 4th order but
     # with a different constant, which muddies a two-level order fit
     return err[2:-2].max()
@@ -88,10 +87,9 @@ def test_rhs_split_form(one_field):
     # dpsi_R/dt = -(1/2) lap psi_I,  dpsi_I/dt = (1/2) lap psi_R  (V = 0)
     g = UniformGrid(-13.0, 13.0, 261)
     fld = analytic.sample_field(one_field, g, 0.3)
-    state = fd_solver.FdState(field=fld, t=0.3)
-    dre, dim_ = fd_solver.rhs(state)
-    assert np.allclose(dre, -0.5 * fd_solver.laplacian_1d(fld.im, g))
-    assert np.allclose(dim_, 0.5 * fd_solver.laplacian_1d(fld.re, g))
+    dre, dim_ = fd_solver.rhs(fld.re, fld.im, g, np.zeros(g.shape))
+    assert np.allclose(dre, -0.5 * fd_solver.laplacian(fld.im, g))
+    assert np.allclose(dim_, 0.5 * fd_solver.laplacian(fld.re, g))
 
 
 def test_rhs_linearity(one_field, packet_field):
@@ -99,9 +97,9 @@ def test_rhs_linearity(one_field, packet_field):
     a = analytic.sample_field(one_field, g, 0.2)
     b = analytic.sample_field(packet_field, g, 0.2)
     combo = ComplexField(grid=g, re=2 * a.re + b.re, im=2 * a.im + b.im)
-    ra, ia = fd_solver.rhs(fd_solver.FdState(field=a, t=0.0))
-    rb, ib = fd_solver.rhs(fd_solver.FdState(field=b, t=0.0))
-    rc, ic = fd_solver.rhs(fd_solver.FdState(field=combo, t=0.0))
+    ra, ia = fd_solver.rhs(a.re, a.im, g, 0.0)
+    rb, ib = fd_solver.rhs(b.re, b.im, g, 0.0)
+    rc, ic = fd_solver.rhs(combo.re, combo.im, g, 0.0)
     assert np.allclose(rc, 2 * ra + rb, atol=1e-12)
     assert np.allclose(ic, 2 * ia + ib, atol=1e-12)
 
@@ -111,10 +109,8 @@ def test_potential_term():
     y = g.axis()
     fld = ComplexField(grid=g, re=np.exp(-y ** 2), im=np.zeros_like(y))
     v = 0.5 * y ** 2
-    free = fd_solver.FdState(field=fld, t=0.0)
-    trapped = fd_solver.FdState(field=fld, t=0.0, potential=v)
-    _, di_free = fd_solver.rhs(free)
-    _, di_trap = fd_solver.rhs(trapped)
+    _, di_free = fd_solver.rhs(fld.re, fld.im, g, np.zeros(g.shape))
+    _, di_trap = fd_solver.rhs(fld.re, fld.im, g, v)
     assert np.allclose(di_trap - di_free, -v * fld.re, atol=1e-13)
 
 
@@ -130,11 +126,11 @@ def test_symmetry_preserved_by_stepping(one_field):
 
 def test_short_run_accuracy_and_norm(one_field):
     g = UniformGrid(-13.0, 13.0, 261)
-    cfg = ScenarioConfig(packet=WavePacketParams(), grid=g, t_final=0.1,
-                         n_steps=500, solver="schrodinger_fd")
     initial = analytic.sample_field(one_field, g, 0.0)
-    snaps = fd_solver.propagate(cfg, initial)
-    t_final, final = snaps[-1]
+    state = fd_solver.FdState(field=initial, t=0.0)
+    for st in fd_solver.iterate(state, 0.1 / 500, 500):
+        pass
+    t_final, final = st.t, st.field
     assert t_final == pytest.approx(0.1)
     exact = one_field.psi(g.axis(), 0.1)
     # the packets are only ~2 grid points per width before they spread,
@@ -149,24 +145,11 @@ def test_snapshot_times(one_field):
                          n_steps=10, solver="schrodinger_fd",
                          snapshot_times=(0.0, 0.005))
     initial = analytic.sample_field(one_field, g, 0.0)
-    snaps = fd_solver.propagate(cfg, initial)
-    assert [t for t, _ in snaps] == pytest.approx([0.0, 0.005, 0.01])
-
-
-def test_norm_drift_guard(one_field):
-    g = UniformGrid(-13.0, 13.0, 261)
-    cfg = ScenarioConfig(packet=WavePacketParams(), grid=g, t_final=0.1,
-                         n_steps=500, solver="schrodinger_fd")
-    initial = analytic.sample_field(one_field, g, 0.0)
-    with pytest.raises(NormDrift):
-        fd_solver.propagate(cfg, initial, norm_tolerance=1e-16)
-
-
-def test_unstable_step_detected(one_field):
-    # grossly exceeding the explicit stability limit must not pass silently
-    g = UniformGrid(-13.0, 13.0, 261)
-    cfg = ScenarioConfig(packet=WavePacketParams(), grid=g, t_final=1.0,
-                         n_steps=20, solver="schrodinger_fd")
-    initial = analytic.sample_field(one_field, g, 0.0)
-    with pytest.raises(NormDrift):
-        fd_solver.propagate(cfg, initial)
+    state = fd_solver.FdState(field=initial, t=0.0)
+    wanted = cfg.snapshot_indices
+    times = [0.0] if 0 in wanted else []
+    for k, st in enumerate(fd_solver.iterate(state, cfg.dt, cfg.n_steps),
+                           start=1):
+        if k in wanted:
+            times.append(st.t)
+    assert times == pytest.approx([0.0, 0.005, 0.01])

@@ -1,5 +1,7 @@
 """Moving weighted least squares fits and derivative jets."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,16 +18,17 @@ def test_monomial_ordering():
 
 def test_select_neighbors_stable_ties():
     pts = np.array([[0.0], [1.0], [-1.0], [2.0]])
-    idx = mwls.select_neighbors(pts, np.array([0.0]), 3)
+    cfg = MwlsConfig(n_neighbors=3, poly_order=2)
+    op = mwls.JetOperator(pts, cfg, targets=np.array([[0.0]]))
     # equidistant points break ties by index
-    assert list(idx) == [0, 1, 2]
+    assert list(op.neighbor_idx[0]) == [0, 1, 2]
 
 
 def test_gaussian_weight_ratio():
-    # inverse weights sigma_n = exp(+d^2 / (2 w^2))
-    pts = np.array([[0.0], [np.sqrt(3.0)]])
-    sigma = mwls.gaussian_weights(pts, np.array([0.0]), 1.0)
-    assert sigma[1] / sigma[0] == pytest.approx(np.exp(1.5), rel=1e-12)
+    # inverse weights sigma_n = exp(+d^2 / (2 w^2)), d^2 = 0 and 3
+    sigma = mwls._neighbor_sigma(np.array([[0.0, 3.0]]), 1.0)
+    assert sigma[0, 1] / sigma[0, 0] == pytest.approx(np.exp(1.5),
+                                                      rel=1e-12)
 
 
 def test_linear_recovery():
@@ -142,6 +145,17 @@ def test_ill_conditioned_geometry():
     cfg = MwlsConfig(n_neighbors=12, poly_order=3, weight_width=1.0)
     with pytest.raises(IllConditioned):
         mwls.derivative_jet(y, np.zeros(12), np.array([0.0]), cfg)
+
+
+def test_ill_conditioned_message_carries_the_estimate():
+    # nearly collinear 2D points: a finite estimate far above the limit
+    x = np.linspace(-1.0, 1.0, 15)
+    pts = np.column_stack([x, 1e-4 * np.sin(7.0 * x)])
+    cfg = MwlsConfig(n_neighbors=15, poly_order=2)
+    with pytest.raises(IllConditioned) as e:
+        mwls.JetOperator(pts, cfg, targets=np.zeros((1, 2)))
+    estimate = float(re.search(r"estimate (\S+) exceeds", str(e.value))[1])
+    assert mwls.CONDITION_LIMIT < estimate < np.inf
 
 
 def test_condition_estimate_reported():
