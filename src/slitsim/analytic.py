@@ -313,6 +313,9 @@ class Trajectory:
     times: np.ndarray          # shape (nt,), strictly increasing
     positions: np.ndarray      # shape (nt, dim)
     provenance: str            # "exact", "fd", or "hydro"
+    #: why an integrated path stopped before the end of its run:
+    #: "incursion" (masked near-node stencil), "left_grid", or None
+    stop_reason: str | None = None
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):

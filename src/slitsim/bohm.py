@@ -10,7 +10,8 @@ A family of trajectories is integrated as one stack: each RK4 stage is
 one interpolation call per field over every live trajectory.
 
 A trajectory that runs into a masked (near-node) region fails loudly with
-the time of incursion instead of continuing on extrapolated velocities.
+the time of incursion instead of continuing on extrapolated velocities;
+one that leaves the grid stops with the time it left.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import fd_solver
 from .analytic import Trajectory
-from .core import EPS_NODE, ComplexField
+from .core import EPS_NODE
 from .errors import MaskedRegion, OutsideGrid
 
 
@@ -134,6 +135,11 @@ def _interp_masked(vf, pt):
     return out
 
 
+def _inside(grid, points):
+    """Mask over a (m, dim) stack of the points inside the grid."""
+    return np.all((points >= grid.lo) & (points <= grid.hi), axis=1)
+
+
 def interpolate_velocity(vf, points):
     """Velocity at off-grid points by local cubic interpolation.
 
@@ -146,7 +152,7 @@ def interpolate_velocity(vf, points):
     pts = np.asarray(points, dtype=float)
     single = pts.ndim < 2
     pts = pts.reshape(-1, grid.dim)
-    inside = np.all((pts >= grid.lo) & (pts <= grid.hi), axis=1)
+    inside = _inside(grid, pts)
     if not inside.all():
         raise OutsideGrid(f"point {pts[~inside][0]} outside the grid")
 
@@ -221,16 +227,28 @@ def _rk4_stack(r, dt, va, vb):
     """One RK4 step for a stack of points, velocity linear in time.
 
     Each stage makes one interpolate_velocity call per field over the
-    points still live. A point whose stencil is majority-masked at any
-    stage drops out of the later stages. Returns (mask over r of the
-    points that completed the step, their new positions).
+    points still live. A point whose stencil is majority-masked, or that
+    lies outside the grid, at any stage drops out of the later stages.
+    Returns (mask over r of the points that completed the step, mask over
+    r of the points dropped for leaving the grid, their new positions).
     """
     live = np.ones(len(r), dtype=bool)
+    left = np.zeros(len(r), dtype=bool)
     ks = []
     for h, fields in ((None, (va,)), (0.5 * dt, (va, vb)),
                       (0.5 * dt, (va, vb)), (dt, (vb,))):
         p = r if h is None else r + h * ks[-1]
-        v = interpolate_velocity(fields[0], p)
+        try:
+            v = interpolate_velocity(fields[0], p)
+        except OutsideGrid:
+            inside = _inside(va.grid, p)
+            left[np.flatnonzero(live)[~inside]] = True
+            live[live] = inside
+            r, p = r[inside], p[inside]
+            ks = [kv[inside] for kv in ks]
+            if not len(r):
+                return live, left, r
+            v = interpolate_velocity(fields[0], p)
         if len(fields) == 2:
             v = 0.5 * (v + interpolate_velocity(fields[1], p))
         ok = ~np.isnan(v).any(axis=1)
@@ -238,9 +256,9 @@ def _rk4_stack(r, dt, va, vb):
         r = r[ok]
         ks = [kv[ok] for kv in ks] + [v[ok]]
         if not len(r):
-            return live, r
+            return live, left, r
     f1, f2, f3, f4 = ks
-    return live, r + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+    return live, left, r + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
 
 
 def integrate_family(provider, starts, provenance="fd",
@@ -252,10 +270,11 @@ def integrate_family(provider, starts, provenance="fd",
     interpolation call per field over every live trajectory.
 
     Returns (results, fields) where results is a list of
-    (Trajectory, incursion_time_or_None) pairs -- a trajectory that runs
-    into a masked region is truncated at the incursion time rather than
-    aborting the whole family -- and fields maps each requested snapshot
-    index to its ComplexField.
+    (Trajectory, incursion_time_or_None) pairs and fields maps each
+    requested snapshot index to its ComplexField. A trajectory that runs
+    into a masked region or leaves the grid is truncated at the start of
+    that step rather than aborting the whole family; its stop_reason says
+    which ("incursion" or "left_grid").
     """
     dt = provider.dt
     n = provider.n_steps
@@ -271,6 +290,7 @@ def integrate_family(provider, starts, provenance="fd",
     positions[:, 0] = r
     steps = np.zeros(m, dtype=int)
     incursion = [None] * m
+    stop = [None] * m
     live = np.arange(m)
 
     for k in range(n):
@@ -279,9 +299,12 @@ def integrate_family(provider, starts, provenance="fd",
         va = provider.at(k)
         vb = provider.at(k + 1)
         if len(live):
-            done, r_new = _rk4_stack(r[live], dt, va, vb)
-            for j in live[~done]:
+            done, left, r_new = _rk4_stack(r[live], dt, va, vb)
+            for j in live[left]:
+                stop[j] = "left_grid"
+            for j in live[~done & ~left]:
                 incursion[j] = k * dt
+                stop[j] = "incursion"
             live = live[done]
             r[live] = r_new
             positions[live, k + 1] = r_new
@@ -294,7 +317,8 @@ def integrate_family(provider, starts, provenance="fd",
         times = np.arange(steps[j] + 1) * dt
         results.append((Trajectory(times=times,
                                    positions=positions[j, :steps[j] + 1],
-                                   provenance=provenance), incursion[j]))
+                                   provenance=provenance,
+                                   stop_reason=stop[j]), incursion[j]))
     return results, fields
 
 
@@ -302,9 +326,12 @@ def integrate_trajectory(provider, start, provenance="fd"):
     """One trajectory over the whole field lattice: a family of one.
 
     Raises MaskedRegion (with the incursion time in ``t``) if the path
-    enters a near-node region.
+    enters a near-node region, and OutsideGrid if it leaves the grid.
     """
     [(traj, incursion)], _ = integrate_family(provider, [start], provenance)
+    if traj.stop_reason == "left_grid":
+        raise OutsideGrid(
+            f"trajectory left the grid at t={traj.times[-1]:.6g}")
     if incursion is not None:
         raise MaskedRegion(
             f"trajectory entered a node region at t={incursion:.6g}",

@@ -125,8 +125,8 @@ def run_fd(spec, out_dir):
     # One oracle run for every trajectory that completed the lattice; a
     # truncated one is checked on its own recorded times only (a start
     # masked at t=0 would reach a node on the full lattice).
-    complete = [j for j, (_, incursion) in enumerate(results)
-                if incursion is None]
+    complete = [j for j, (traj, _) in enumerate(results)
+                if traj.stop_reason is None]
     exact = {}
     if complete:
         lattice = results[complete[0]][0].times
@@ -143,6 +143,9 @@ def run_fd(spec, out_dir):
                              + tuple(ex.positions[i]))
         entry = {"start": list(cfg.trajectory_starts[j]),
                  "incursion_time": incursion,
+                 "left_grid_time": (float(traj.times[-1])
+                                    if traj.stop_reason == "left_grid"
+                                    else None),
                  "steps_completed": len(traj.times) - 1}
         entry.update(_flagged_deviation(traj, ex, exact_field))
         traj_summary.append(entry)

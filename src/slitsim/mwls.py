@@ -7,6 +7,11 @@ equation A^T A a = A^T b. The coefficient vector then directly yields the
 fitted value (degree-0 term), gradient (degree-1 terms), and Laplacian
 (twice the pure degree-2 terms).
 
+The neighbors of each target are its n_neighbors nearest points, ties
+going to the lower index. In 1D they come from a window of sorted
+positions around the target, O(N * k) for N points and k neighbors; in
+2D from the dense N x N distance matrix.
+
 Internally the offsets are rescaled by the mean neighbor distance before
 assembling the basis; this is an exact reparametrization of the same
 least-squares problem (coefficients are scaled back) that keeps the normal
@@ -70,6 +75,49 @@ def _neighbor_sigma(d2, width):
     return np.exp(d2 / (2.0 * np.asarray(width) ** 2))
 
 
+def _dense_nearest(pts, tgt, nb):
+    """Indices of the nb nearest points per target, ties to the lower index."""
+    dist = np.linalg.norm(tgt[:, None, :] - pts[None, :, :], axis=2)
+    return np.argsort(dist, axis=1, kind="stable")[:, :nb]
+
+
+def _nearest(pts, tgt, nb):
+    """_dense_nearest in O(n_targets * nb) for finite 1D points.
+
+    Distances grow monotonically away from a target in sorted order, so
+    its nb nearest lie among the nb sorted points on either side of its
+    searchsorted position. The candidates are put back in original index
+    order and ranked with the same distance formula and stable argsort as
+    the dense search, which gives the same picks, ties included, unless a
+    point outside the window is no farther than the last pick (a block of
+    equal distances crossing the window edge): such targets fall back to
+    the dense search.
+    """
+    n = len(pts)
+    if pts.shape[1] != 1 or not (np.isfinite(pts).all()
+                                 and np.isfinite(tgt).all()):
+        return _dense_nearest(pts, tgt, nb)
+    order = np.argsort(pts[:, 0], kind="stable")
+    xs = pts[order]
+    w = min(2 * nb, n)
+    pos = np.searchsorted(xs[:, 0], tgt[:, 0])
+    start = np.clip(pos - nb, 0, n - w)
+    cand = np.sort(order[start[:, None] + np.arange(w)], axis=1)
+    dist = np.linalg.norm(tgt[:, None, :] - pts[cand], axis=2)
+    pick = np.argsort(dist, axis=1, kind="stable")[:, :nb]
+    idx = np.take_along_axis(cand, pick, axis=1)
+
+    # nearest excluded point on each side; clipped indices are not used
+    kth = np.take_along_axis(dist, pick[:, -1:], axis=1)[:, 0]
+    left = np.linalg.norm(tgt - xs[np.maximum(start - 1, 0)], axis=1)
+    right = np.linalg.norm(tgt - xs[np.minimum(start + w, n - 1)], axis=1)
+    tied = (((start > 0) & (left <= kth))
+            | ((start + w < n) & (right <= kth)))
+    if tied.any():
+        idx[tied] = _dense_nearest(pts, tgt[tied], nb)
+    return idx
+
+
 def derivative_jet(points, values, r0, config):
     """Value, gradient, and Laplacian of scattered data at one point r0."""
     op = JetOperator(points, config,
@@ -104,8 +152,7 @@ class JetOperator:
             raise TooFewPoints(
                 f"{nb} neighbors cannot support {m} basis polynomials")
 
-        dist = np.linalg.norm(tgt[:, None, :] - pts[None, :, :], axis=2)
-        self.neighbor_idx = np.argsort(dist, axis=1, kind="stable")[:, :nb]
+        self.neighbor_idx = _nearest(pts, tgt, nb)
         offsets = pts[self.neighbor_idx] - tgt[:, None, :]   # (nt, nb, dim)
         d2 = np.sum(offsets ** 2, axis=2)
 

@@ -5,7 +5,7 @@ import pytest
 
 from slitsim import analytic, bohm
 from slitsim.core import ComplexField, UniformGrid, WavePacketParams
-from slitsim.errors import MaskedRegion
+from slitsim.errors import MaskedRegion, OutsideGrid
 
 
 def _synthetic_vf(grid, func, mask=None):
@@ -214,6 +214,24 @@ def test_family_truncates_on_node_incursion():
     assert cut_inc is not None
     assert len(cut_traj.times) < 41
     assert cut_traj.positions[-1, 0] < 1.5
+
+
+def test_family_truncates_a_trajectory_that_leaves_the_grid():
+    g = UniformGrid(-2.0, 2.0, 41)
+    vf = _synthetic_vf(g, lambda y: np.ones_like(y))
+    provider = _FrozenProvider(vf, dt=0.05, n_steps=40)
+    results, _ = bohm.integrate_family(provider, [(1.0,), (-1.5,)])
+    (out_traj, out_inc), (in_traj, in_inc) = results
+    assert out_traj.stop_reason == "left_grid" and out_inc is None
+    assert 0 < len(out_traj.times) - 1 < 40
+    assert out_traj.positions[-1, 0] <= 2.0
+    assert in_traj.stop_reason is None and in_inc is None
+    [(solo, _)], _ = bohm.integrate_family(provider, [(-1.5,)])
+    assert np.array_equal(in_traj.positions, solo.positions)
+    with pytest.raises(OutsideGrid):
+        bohm.integrate_trajectory(provider, (1.0,))
+    with pytest.raises(OutsideGrid):
+        bohm.interpolate_velocity(vf, np.array([2.5]))
 
 
 def test_integrate_trajectory_reports_incursion_time():

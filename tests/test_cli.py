@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from slitsim import cli
+from slitsim import cli, fd_solver
 from slitsim.config import (load_config, parse_config, spec_from_dict,
                             spec_to_dict)
 from slitsim.errors import ConfigError
@@ -245,17 +245,36 @@ def test_unstable_step_detected(tmp_path):
     assert manifest["errors"]["norm_drift"] > 1e-6
 
 
-def test_trajectory_leaving_the_grid_is_an_error(tmp_path, capsys):
+def test_trajectory_leaving_the_grid_is_truncated(tmp_path, capsys):
+    # 1.9 leaves the [-2, 2] grid mid-run; 0.5 stays inside throughout.
+    # The boundary also pushes the norm drift over the guard: exit 2.
     text = FD_CFG.replace("grid.lo = -13", "grid.lo = -2").replace(
         "grid.hi = 13", "grid.hi = 2").replace("grid.n = 131", "grid.n = 81")
     text = text.replace("t_final = 0.05", "t_final = 0.1").replace(
         "n_steps = 100", "n_steps = 500").replace(
         "trajectory.starts = 0.8; -0.8", "trajectory.starts = 1.9; 0.5")
     cfg_path = _write(tmp_path, "edge.cfg", text)
-    assert cli.main(["run", cfg_path, "--out", str(tmp_path / "runs")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "outside the grid" in err
-    assert "Traceback" not in err
+    out = str(tmp_path / "runs")
+    assert cli.main(["run", cfg_path, "--out", out]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    run_dir = os.path.join(out, "tiny_fd")
+    with open(os.path.join(run_dir, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    errors = manifest["errors"]
+    assert errors["norm_drift"] > fd_solver.NORM_TOLERANCE
+    edge, inner = errors["trajectories"]
+    assert 0 < edge["steps_completed"] < 500
+    assert edge["left_grid_time"] == pytest.approx(
+        edge["steps_completed"] * 2e-4, rel=1e-12)
+    assert edge["incursion_time"] is None
+    assert edge["max_deviation"] is not None
+    assert inner["steps_completed"] == 500
+    assert inner["left_grid_time"] is None and inner["incursion_time"] is None
+    assert {"fields.csv", "trajectories.csv"} <= set(manifest["files"])
+    with open(os.path.join(run_dir, "trajectories.csv")) as fh:
+        ids = [line.split(",")[0] for line in fh.readlines()[1:]]
+    assert ids.count("0") == edge["steps_completed"] + 1
+    assert ids.count("1") == 501
 
 
 def test_underdetermined_mwls_is_an_error(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from slitsim import analytic, hydro_solver
+from slitsim import hydro_solver
 from slitsim.core import (MwlsConfig, ScenarioConfig, UniformGrid,
                           WavePacketParams)
 
