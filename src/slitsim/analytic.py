@@ -7,8 +7,6 @@ exp(i[kx*x - kx^2 t/2]) decouples and gives the trivial drift
 x(t) = x(0) + kx*t, see :func:`x_trajectory`.
 """
 
-import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,52 +18,13 @@ SLIT_A = "A"
 SLIT_B = "B"
 
 
-def _mul_rounded(a, b):
-    """Complex product (ar br - ai bi) + i (ar bi + ai br), term by term.
-
-    Each real product is rounded on its own, as in numpy's scalar complex
-    product; numpy's vectorised product may fuse them into multiply-adds.
-    """
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    re = ar * br - ai * bi
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real = re
-    out.imag = ar * bi + ai * br
-    return out
-
-
-_pow = np.frompyfunc(math.pow, 2, 1)
-
-
-def _square_rounded(y):
-    """y**2 rounded as libm pow(y, 2), as numpy's scalar power rounds it."""
-    return np.asarray(_pow(y, 2.0), dtype=float)
-
-
-class Rounding:
-    """How the closed forms round complex products and squares."""
-
-    def __init__(self, mul, square):
-        self.mul = mul
-        self.square = square
-
-
-#: numpy's own arithmetic, which depends on array size and CPU (fused
-#: multiply-adds in vectorised complex products); used on grids.
-NATIVE = Rounding(mul=operator.mul, square=lambda y: y ** 2)
-#: Every product and square rounded on its own, whatever the array size
-#: or CPU: the bits of NATIVE arithmetic on numpy scalars, so exact
-#: trajectories of a stack of starts equal those of each start alone.
-POINTWISE = Rounding(mul=_mul_rounded, square=_square_rounded)
-
-
 def sigma_t(params, t):
     """Complex packet width sigma0 * (1 + i t / (2 sigma0^2))."""
     s0 = params.sigma0
     return s0 * (1.0 + 1j * t / (2.0 * s0 ** 2))
 
 
-def _packet(y, t, center, sigma0, rounding=NATIVE):
+def _packet(y, t, center, sigma0):
     """Normalized spreading Gaussian centered on `center` at t=0.
 
     (2 pi sigma_t^2)^(-1/4) exp(-(y-c)^2 / (4 sigma0 sigma_t)), principal
@@ -74,8 +33,7 @@ def _packet(y, t, center, sigma0, rounding=NATIVE):
     """
     st = sigma0 * (1.0 + 1j * t / (2.0 * sigma0 ** 2))
     pref = (2.0 * np.pi * st ** 2) ** -0.25
-    return rounding.mul(pref, np.exp(-rounding.square(y - center)
-                                     / (4.0 * sigma0 * st)))
+    return pref * np.exp(-(y - center) ** 2 / (4.0 * sigma0 * st))
 
 
 def _overlap(params):
@@ -94,13 +52,21 @@ def norm_constant_two(params):
     return 1.0 / np.sqrt(2.0 + 2.0 * params.exchange_sign * w ** 2)
 
 
+def _stack(points, dim):
+    """Configuration points as a float array of shape (m, dim)."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise ValueError(f"expected a stack of shape (m, {dim}), "
+                         f"got {pts.shape}")
+    return pts
+
+
 class ExactField:
     """Common closed-form machinery: velocity, quantum potential, trajectories.
 
     Subclasses provide psi / psi_grad / lap as functions of the
     configuration point and time, plus a peak-density bound used for the
-    node threshold. The rounding keyword of psi_grad, grad and velocity
-    selects NATIVE or POINTWISE arithmetic.
+    node threshold.
     """
 
     dim = None
@@ -108,13 +74,13 @@ class ExactField:
     def psi(self, *args):
         raise NotImplementedError
 
-    def psi_grad(self, *args, rounding=NATIVE):
+    def psi_grad(self, *args):
         """(psi, tuple of d(psi)/d(coordinate)) from one packet evaluation."""
         raise NotImplementedError
 
-    def grad(self, *args, rounding=NATIVE):
+    def grad(self, *args):
         """Tuple of d(psi)/d(coordinate), one entry per dimension."""
-        return self.psi_grad(*args, rounding=rounding)[1]
+        return self.psi_grad(*args)[1]
 
     def lap(self, *args):
         raise NotImplementedError
@@ -124,7 +90,7 @@ class ExactField:
 
     # -- derived quantities ------------------------------------------------
 
-    def _node_guard(self, p, t, node_floor, what, rounding=NATIVE):
+    def _node_guard(self, p, t, node_floor, what):
         """Density |p|^2, checked as the node-sensitive quantities need.
 
         node_floor is relative to the instantaneous peak density; a floor
@@ -132,38 +98,30 @@ class ExactField:
         tails), which is the right guard for closed-form ratios whose
         tails are exact however small the density gets.
         """
-        dens = rounding.square(np.abs(p))
+        dens = np.abs(p) ** 2
         if np.any(dens <= node_floor * self.peak_density(t)):
             raise NodeError(f"{what} undefined at a node (t={t})")
         return dens
 
-    def velocity(self, *args, node_floor=EPS_NODE, rounding=NATIVE):
+    def velocity(self, *args, node_floor=EPS_NODE):
         """Bohmian velocity Im(psi* grad psi)/|psi|^2, per coordinate.
 
         Equivalent to the phase gradient wherever psi != 0, but free of
         arctan branch-cut artifacts. Raises NodeError where the density
         falls below node_floor times the instantaneous peak.
         """
-        p, grads = self.psi_grad(*args, rounding=rounding)
-        dens = self._node_guard(p, args[-1], node_floor, "velocity",
-                                rounding)
-        comps = tuple(np.imag(rounding.mul(np.conj(p), d)) / dens
-                      for d in grads)
+        p, grads = self.psi_grad(*args)
+        dens = self._node_guard(p, args[-1], node_floor, "velocity")
+        comps = tuple(np.imag(np.conj(p) * d) / dens for d in grads)
         return comps[0] if self.dim == 1 else comps
 
     def velocity_at(self, points, t):
-        """Velocity vectors at configuration points, POINTWISE rounding.
+        """Velocity vectors, shape (m, dim), at a stack of m points.
 
-        A point of shape (dim,) gives a (dim,) vector, a stack of shape
-        (m, dim) gives (m, dim). Raises NodeError if any point is at a
-        node.
+        Raises NodeError if any point is at a node.
         """
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim < 2
-        pts = pts.reshape(-1, self.dim)
-        v = self.velocity(*pts.T, t, rounding=POINTWISE)
-        out = np.stack(v if self.dim > 1 else (v,), axis=-1)
-        return out[0] if single else out
+        v = self.velocity(*_stack(points, self.dim).T, t)
+        return np.stack(v if self.dim > 1 else (v,), axis=-1)
 
     def log_amplitude(self, *args, node_floor=0.0):
         """g = ln|psi| (so the probability density is e^{2g})."""
@@ -194,16 +152,16 @@ class SlitPacketField(ExactField):
         self.params = params
         self.center = params.Y if slit == SLIT_A else -params.Y
 
-    def psi(self, y, t, rounding=NATIVE):
+    def psi(self, y, t):
         return _packet(np.asarray(y, dtype=float), t, self.center,
-                       self.params.sigma0, rounding)
+                       self.params.sigma0)
 
-    def psi_grad(self, y, t, rounding=NATIVE):
+    def psi_grad(self, y, t):
         y = np.asarray(y, dtype=float)
-        p = self.psi(y, t, rounding)
+        p = self.psi(y, t)
         st = sigma_t(self.params, t)
         fac = -(y - self.center) / (2.0 * self.params.sigma0 * st)
-        return p, (rounding.mul(fac, p),)
+        return p, (fac * p,)
 
     def lap(self, y, t):
         y = np.asarray(y, dtype=float)
@@ -238,9 +196,9 @@ class OneParticleField(ExactField):
     def psi(self, y, t):
         return self.norm_constant * (self._a.psi(y, t) + self._b.psi(y, t))
 
-    def psi_grad(self, y, t, rounding=NATIVE):
-        pa, (da,) = self._a.psi_grad(y, t, rounding)
-        pb, (db,) = self._b.psi_grad(y, t, rounding)
+    def psi_grad(self, y, t):
+        pa, (da,) = self._a.psi_grad(y, t)
+        pb, (db,) = self._b.psi_grad(y, t)
         n = self.norm_constant
         return n * (pa + pb), (n * (da + db),)
 
@@ -271,17 +229,16 @@ class TwoParticleField(ExactField):
             self._a.psi(y1, t) * self._b.psi(y2, t)
             + s * self._b.psi(y1, t) * self._a.psi(y2, t))
 
-    def psi_grad(self, y1, y2, t, rounding=NATIVE):
+    def psi_grad(self, y1, y2, t):
         s = self.params.exchange_sign
-        mul = rounding.mul
-        a1, (da1,) = self._a.psi_grad(y1, t, rounding)
-        b1, (db1,) = self._b.psi_grad(y1, t, rounding)
-        a2, (da2,) = self._a.psi_grad(y2, t, rounding)
-        b2, (db2,) = self._b.psi_grad(y2, t, rounding)
+        a1, (da1,) = self._a.psi_grad(y1, t)
+        b1, (db1,) = self._b.psi_grad(y1, t)
+        a2, (da2,) = self._a.psi_grad(y2, t)
+        b2, (db2,) = self._b.psi_grad(y2, t)
         n = self.norm_constant
-        p = n * (mul(a1, b2) + mul(s * b1, a2))
-        d1 = n * (mul(da1, b2) + mul(s * db1, a2))
-        d2 = n * (mul(a1, db2) + mul(s * b1, da2))
+        p = n * (a1 * b2 + s * b1 * a2)
+        d1 = n * (da1 * b2 + s * db1 * a2)
+        d2 = n * (a1 * db2 + s * b1 * da2)
         return p, (d1, d2)
 
     def lap(self, y1, y2, t):
@@ -331,14 +288,12 @@ class Trajectory:
 def exact_trajectory(fld, starts, t_grid):
     """Integrate dr/dt = v_exact(r, t) with classic RK4 on the given times.
 
-    One start of shape (dim,) gives a Trajectory; a stack of shape
-    (m, dim) is integrated in one RK4 loop and gives a list of m
-    Trajectories, each equal to its start integrated alone.
+    A stack of starts, shape (m, dim), is integrated in one RK4 loop and
+    gives a list of m Trajectories, each equal to its start integrated
+    alone as a one-row stack.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    r = np.asarray(starts, dtype=float)
-    single = r.ndim < 2
-    r = r.reshape(-1, fld.dim)
+    r = _stack(starts, fld.dim)
     positions = np.empty((len(r), len(t_grid), fld.dim))
     positions[:, 0] = r
     for k in range(len(t_grid) - 1):
@@ -349,9 +304,8 @@ def exact_trajectory(fld, starts, t_grid):
         k4 = fld.velocity_at(r + h * k3, t0 + h)
         r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         positions[:, k + 1] = r
-    trajs = [Trajectory(times=t_grid.copy(), positions=p, provenance="exact")
-             for p in positions]
-    return trajs[0] if single else trajs
+    return [Trajectory(times=t_grid.copy(), positions=p, provenance="exact")
+            for p in positions]
 
 
 def x_trajectory(params, x0, t):

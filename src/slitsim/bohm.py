@@ -191,12 +191,10 @@ class FdFieldProvider:
     time-interpolation scheme needs.
     """
 
-    def __init__(self, initial_field, dt, n_steps, potential=None):
+    def __init__(self, initial_field, dt, n_steps):
         self.dt = dt
         self.n_steps = n_steps
-        state = fd_solver.FdState(field=initial_field, t=0.0,
-                                  potential=potential)
-        self._iter = fd_solver.iterate(state, dt, n_steps)
+        self._iter = fd_solver.iterate(initial_field, dt, n_steps)
         self._cache = {0: velocity_field(initial_field, 0.0)}
         self._fields = {0: initial_field}
         self._last = 0
@@ -210,10 +208,10 @@ class FdFieldProvider:
         if k > self.n_steps:
             raise IndexError(f"lattice index {k} beyond the run")
         while self._last < k:
-            st = next(self._iter)
+            t, fld = next(self._iter)
             self._last += 1
-            self._cache[self._last] = velocity_field(st.field, st.t)
-            self._fields[self._last] = st.field
+            self._cache[self._last] = velocity_field(fld, t)
+            self._fields[self._last] = fld
             for old in [i for i in self._cache if i < self._last - 1]:
                 del self._cache[old]
                 del self._fields[old]

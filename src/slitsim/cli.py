@@ -137,7 +137,7 @@ def run_fd(spec, out_dir):
     traj_summary = []
     for j, (traj, incursion) in enumerate(results):
         ex = exact[j] if j in exact else exact_trajectory(
-            exact_field, cfg.trajectory_starts[j], traj.times)
+            exact_field, [cfg.trajectory_starts[j]], traj.times)[0]
         for i, t in enumerate(traj.times):
             traj_rows.append((j,) + (t,) + tuple(traj.positions[i])
                              + tuple(ex.positions[i]))
@@ -318,10 +318,8 @@ def run(config_path, out_root=None):
     return manifest, (0 if status == "Valid" else 2)
 
 
-def compare(manifest_path, oracle="exact"):
+def compare(manifest_path):
     """Per-snapshot / per-trajectory error report against the exact oracle."""
-    if oracle != "exact":
-        raise SlitsimError(f"unknown oracle {oracle!r}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     spec = spec_from_dict(manifest["config"])
@@ -357,10 +355,17 @@ def compare(manifest_path, oracle="exact"):
             continue
         report_rows.append((f"trajectory_{j}", entry["max_deviation"],
                             entry["max_deviation_off_node"]))
-        lines.append(
-            f"trajectory {j} from {entry['start']}: max dev "
-            f"{entry['max_deviation']:.3e} "
-            f"(off-node {entry['max_deviation_off_node']:.3e})")
+        line = (f"trajectory {j} from {entry['start']}: max dev "
+                f"{entry['max_deviation']:.3e} "
+                f"(off-node {entry['max_deviation_off_node']:.3e})")
+        steps = entry.get("steps_completed", cfg.n_steps)
+        if steps < cfg.n_steps:
+            line += (f"; truncated: steps_completed = {steps} of "
+                     f"{cfg.n_steps}")
+            for key in ("incursion_time", "left_grid_time"):
+                if entry.get(key) is not None:
+                    line += f", {key} = {entry[key]:.6g}"
+        lines.append(line)
 
     for d in manifest["errors"].get("snapshots", []):
         report_rows.append((f"hydro_t={d['t']:.6g}", d["max_v_error"],
@@ -411,7 +416,6 @@ def main(argv=None):
 
     p_cmp = sub.add_parser("compare", help="error report for a finished run")
     p_cmp.add_argument("manifest", help="path to a run manifest.json")
-    p_cmp.add_argument("--oracle", default="exact", choices=["exact"])
 
     sub.add_parser("list-scenarios", help="show bundled scenarios")
 
@@ -427,7 +431,7 @@ def main(argv=None):
                   f"output: {manifest['out_dir']}")
             return code
         if args.command == "compare":
-            print(compare(args.manifest, oracle=args.oracle), end="")
+            print(compare(args.manifest), end="")
             return 0
         for name in bundled_scenarios():
             print(name)

@@ -1,7 +1,9 @@
 """Direct Schrodinger integration via the real/imaginary split.
 
-    d(psi_R)/dt = -(1/2) lap psi_I + V psi_I
-    d(psi_I)/dt = +(1/2) lap psi_R - V psi_R
+    d(psi_R)/dt = -(1/2) lap psi_I
+    d(psi_I)/dt = +(1/2) lap psi_R
+
+in free space (no external potential).
 
 Spatial derivatives use 4th-order stencils: the 5-point central formula in
 the interior and 6-point one-sided / skewed formulas at the two outermost
@@ -9,8 +11,6 @@ points per side (no boundary condition is imposed; the grid is chosen wide
 enough that the field is negligible at the edges). Time stepping is
 classic RK4 on the coupled 2N-component system.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,49 +83,28 @@ def gradient(values, grid):
                  for a in range(grid.dim))
 
 
-@dataclass(frozen=True)
-class FdState:
-    """Field plus time plus the (usually zero) external potential."""
-
-    field: ComplexField
-    t: float
-    potential: np.ndarray = None
-
-    def __post_init__(self):
-        if self.potential is None:
-            object.__setattr__(self, "potential",
-                               np.zeros(self.field.grid.shape))
-        elif self.potential.shape != self.field.grid.shape:
-            raise ValueError("potential shape must match the grid")
-
-
-def rhs(re, im, grid, potential):
+def rhs(re, im, grid):
     """Time derivatives (d psi_R/dt, d psi_I/dt) of the split system."""
-    dre = -0.5 * laplacian(im, grid) + potential * im
-    dim = 0.5 * laplacian(re, grid) - potential * re
-    return dre, dim
+    return -0.5 * laplacian(im, grid), 0.5 * laplacian(re, grid)
 
 
-def _rk4_arrays(re, im, grid, v, dt):
-    k1r, k1i = rhs(re, im, grid, v)
-    k2r, k2i = rhs(re + 0.5 * dt * k1r, im + 0.5 * dt * k1i, grid, v)
-    k3r, k3i = rhs(re + 0.5 * dt * k2r, im + 0.5 * dt * k2i, grid, v)
-    k4r, k4i = rhs(re + dt * k3r, im + dt * k3i, grid, v)
+def _rk4_arrays(re, im, grid, dt):
+    k1r, k1i = rhs(re, im, grid)
+    k2r, k2i = rhs(re + 0.5 * dt * k1r, im + 0.5 * dt * k1i, grid)
+    k3r, k3i = rhs(re + 0.5 * dt * k2r, im + 0.5 * dt * k2i, grid)
+    k4r, k4i = rhs(re + dt * k3r, im + dt * k3i, grid)
     re_new = re + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
     im_new = im + (dt / 6.0) * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
     return re_new, im_new
 
 
-def iterate(state, dt, n_steps):
-    """Yield the state after each of n_steps RK4 steps (lazy)."""
-    grid = state.field.grid
-    re, im = state.field.re, state.field.im
-    t, v = state.t, state.potential
+def iterate(field, dt, n_steps):
+    """Yield (t, field) after each of n_steps RK4 steps from t=0 (lazy)."""
+    grid = field.grid
+    re, im = field.re, field.im
     for k in range(n_steps):
-        re, im = _rk4_arrays(re, im, grid, v, dt)
-        t = state.t + (k + 1) * dt
-        yield FdState(field=ComplexField(grid=grid, re=re, im=im),
-                      t=t, potential=v)
+        re, im = _rk4_arrays(re, im, grid, dt)
+        yield (k + 1) * dt, ComplexField(grid=grid, re=re, im=im)
 
 
 #: Largest |norm(t) - norm(0)| of a Valid run; more means the time step is

@@ -4,7 +4,7 @@ State variables are the per-point position, velocity v, and log-amplitude
 g (density P = e^{2g}). One Lagrangian step is
 
     r <- r + dt * v
-    v <- v - dt * d(Q + V)/dy
+    v <- v - dt * dQ/dy
     g <- g - (1/2) dt * dv/dy
 
 with the quantum potential Q = -(1/2)[(dg/dy)^2 + d2g/dy2] evaluated from
@@ -13,7 +13,7 @@ the functional form of the MWLS derivatives changes every step, which
 rules out multi-stage schemes. Euler's viewpoint keeps the grid fixed and
 adds the advective terms
 
-    v <- v - dt * d(Q + V)/dy - dt * v * dv/dy
+    v <- v - dt * dQ/dy - dt * v * dv/dy
     g <- g - (1/2) dt * dv/dy - dt * v * dg/dy
 
 and, because the geometry never changes, reuses the least-squares
@@ -89,11 +89,7 @@ def quantum_potential(ensemble, mwls_config, operator=None):
     return -0.5 * (grad[:, 0] ** 2 + lap)
 
 
-def _zero_potential(y):
-    return np.zeros_like(y)
-
-
-def lagrangian_step(ensemble, dt, mwls_config, potential=None):
+def lagrangian_step(ensemble, dt, mwls_config):
     """One forward-Euler step on the moving grid.
 
     The normal-equation matrix is rebuilt (and solved) at every point,
@@ -101,15 +97,14 @@ def lagrangian_step(ensemble, dt, mwls_config, potential=None):
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    potential = potential or _zero_potential
     op = JetOperator(ensemble.y, mwls_config)
     _, dg, d2g = op.apply(ensemble.g)
     q = -0.5 * (dg[:, 0] ** 2 + d2g)
-    _, dqv, _ = op.apply(q + potential(ensemble.y))
+    _, dq, _ = op.apply(q)
     _, dv, _ = op.apply(ensemble.v)
 
     y_new = ensemble.y + dt * ensemble.v
-    v_new = ensemble.v - dt * dqv[:, 0]
+    v_new = ensemble.v - dt * dq[:, 0]
     g_new = ensemble.g - 0.5 * dt * dv[:, 0]
 
     status = ensemble.status
@@ -151,17 +146,16 @@ class StencilEngine:
         return values.copy(), dy, d2y
 
 
-def eulerian_step(ensemble, dt, engine, potential=None):
+def eulerian_step(ensemble, dt, engine):
     """One forward-Euler step on the fixed grid (advective form)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    potential = potential or _zero_potential
     _, dg, d2g = engine.derive(ensemble.g)
     q = -0.5 * (dg ** 2 + d2g)
-    _, dqv, _ = engine.derive(q + potential(ensemble.y))
+    _, dq, _ = engine.derive(q)
     _, dv, _ = engine.derive(ensemble.v)
 
-    v_new = ensemble.v - dt * dqv - dt * ensemble.v * dv
+    v_new = ensemble.v - dt * dq - dt * ensemble.v * dv
     g_new = ensemble.g - 0.5 * dt * dv - dt * ensemble.v * dg
 
     status = ensemble.status
@@ -202,7 +196,7 @@ def diagnose(ensemble, field, mwls_config):
         max_v_error=max_v, max_q_error=max_q, status=status)
 
 
-def propagate_hydro(config, potential=None, engine_kind="mwls", points=None):
+def propagate_hydro(config, engine_kind="mwls", points=None):
     """Run the configured hydrodynamic scenario.
 
     Returns (ensemble snapshots, diagnostics). In Lagrange's viewpoint the
@@ -247,10 +241,9 @@ def propagate_hydro(config, potential=None, engine_kind="mwls", points=None):
     for k in range(1, config.n_steps + 1):
         try:
             if config.solver == "hydro_lagrange":
-                ensemble = lagrangian_step(ensemble, dt, config.mwls,
-                                           potential)
+                ensemble = lagrangian_step(ensemble, dt, config.mwls)
             else:
-                ensemble = eulerian_step(ensemble, dt, engine, potential)
+                ensemble = eulerian_step(ensemble, dt, engine)
         except (IllConditioned, NodeError):
             ensemble = replace(ensemble, status=DEGRADED)
             snapshots.append(ensemble)

@@ -187,10 +187,9 @@ def test_criterion_6_node_problem_propagation(one_field, packet_field):
 
     # fd solver at matched resolution and step count
     initial = analytic.sample_field(one_field, cfg.grid, 0.0)
-    state = fd_solver.FdState(field=initial, t=0.0)
-    for st in fd_solver.iterate(state, 1e-5, 1000):
+    for t, fld in fd_solver.iterate(initial, 1e-5, 1000):
         pass
-    vf = bohm.velocity_field(st.field, st.t)
+    vf = bohm.velocity_field(fld, t)
     y = cfg.grid.axis()
     sel = near & ~vf.mask
     fd_err = float(np.abs(vf.components[0][sel]
@@ -268,21 +267,19 @@ def test_criterion_8_property_suite(one_field, boson_field,
 
     # reflection symmetry survives fd stepping
     g = UniformGrid(-13.0, 13.0, 131)
-    state = fd_solver.FdState(
-        field=analytic.sample_field(one_field, g, 0.0), t=0.0)
-    for st in fd_solver.iterate(state, 5e-4, 40):
+    for _, fld in fd_solver.iterate(
+            analytic.sample_field(one_field, g, 0.0), 5e-4, 40):
         pass
     checks.append(("reflection preserved",
-                   np.allclose(st.field.re, st.field.re[::-1], atol=1e-13)))
+                   np.allclose(fld.re, fld.re[::-1], atol=1e-13)))
 
     # exchange symmetry survives fd stepping
     g2 = UniformGrid(-3.0, 3.0, 61, dim=2)
-    state2 = fd_solver.FdState(
-        field=analytic.sample_field(boson_field, g2, 0.0), t=0.0)
-    for st2 in fd_solver.iterate(state2, 2e-4, 40):
+    for _, fld2 in fd_solver.iterate(
+            analytic.sample_field(boson_field, g2, 0.0), 2e-4, 40):
         pass
     checks.append(("exchange preserved",
-                   np.allclose(st2.field.re, st2.field.re.T, atol=1e-13)))
+                   np.allclose(fld2.re, fld2.re.T, atol=1e-13)))
 
     # fermion diagonal node
     diag_ok = all(fermion_field.psi(v, v, 0.5) == 0.0
@@ -308,8 +305,8 @@ def test_criterion_8_property_suite(one_field, boson_field,
 
     # non-crossing of an exact fan
     t_grid = np.linspace(0.0, 1.0, 101)
-    fan = [analytic.exact_trajectory(one_field, (s,), t_grid)
-           for s in np.linspace(0.2, 1.8, 10)]
+    fan = analytic.exact_trajectory(
+        one_field, np.linspace(0.2, 1.8, 10)[:, None], t_grid)
     checks.append(("non-crossing", bohm.crossing_report(fan).ok))
 
     # continuity along the exact flow: d ln rho / dt = -div v

@@ -146,7 +146,7 @@ def test_quantum_potential_values(packet_field, one_field):
 def test_similarity_trajectory(packet_field):
     # spreading maps y - Y linearly: y(t) = Y + (y0 - Y) |sigma_t|/sigma0
     t_grid = np.linspace(0.0, 1.0, 2001)
-    traj = analytic.exact_trajectory(packet_field, (1.2,), t_grid)
+    traj, = analytic.exact_trajectory(packet_field, [(1.2,)], t_grid)
     end = traj.positions[-1, 0]
     assert packet_field.similarity_position(1.2, 1.0) == pytest.approx(
         3.507987240797, abs=1e-9)
@@ -222,7 +222,11 @@ def test_continuity_along_exact_flow(one_field):
 # -- batched oracle: a stack of starts gives the bits of each start alone --
 
 def _scalar_rk4(fld, start, t_grid):
-    """Reference: one start, velocity evaluated on numpy scalars."""
+    """Reference: one start, velocity evaluated on numpy scalars.
+
+    numpy rounds scalar and vectorised complex products differently (the
+    latter may fuse multiply-adds), so this agrees to round-off, not bits.
+    """
     r = np.atleast_1d(np.asarray(start, dtype=float))
     positions = [r]
     for k in range(len(t_grid) - 1):
@@ -254,18 +258,23 @@ def test_exact_trajectory_stack_equals_each_start(which, starts, dt,
     stack = analytic.exact_trajectory(fld, starts, t_grid)
     assert len(stack) == len(starts)
     for traj, s in zip(stack, starts):
-        alone = analytic.exact_trajectory(fld, s, t_grid)
+        alone, = analytic.exact_trajectory(fld, [s], t_grid)
         assert np.array_equal(traj.positions, alone.positions)
         assert np.array_equal(traj.times, alone.times)
-        assert np.array_equal(traj.positions, _scalar_rk4(fld, s, t_grid))
+        assert np.allclose(traj.positions, _scalar_rk4(fld, s, t_grid),
+                           rtol=1e-12, atol=0.0)
 
 
 def test_velocity_at_shapes(one_field, boson_field):
-    assert one_field.velocity_at((0.7,), 0.3).shape == (1,)
+    assert one_field.velocity_at([(0.7,)], 0.3).shape == (1, 1)
     assert one_field.velocity_at([(0.7,), (0.9,)], 0.3).shape == (2, 1)
+    assert boson_field.velocity_at([(0.9, -0.4)], 0.8).shape == (1, 2)
     v = boson_field.velocity_at([(0.9, -0.4), (1.1, -0.2)], 0.8)
     assert v.shape == (2, 2)
     assert np.allclose(v[0], boson_field.velocity(0.9, -0.4, 0.8),
                        rtol=1e-14)
+    for bad in ((0.7,), [(0.9, -0.4)]):
+        with pytest.raises(ValueError):
+            one_field.velocity_at(bad, 0.3)
     with pytest.raises(NodeError):
         one_field.velocity_at([(0.7,), (5.0,)], 0.0)

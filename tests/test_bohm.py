@@ -249,8 +249,7 @@ def test_integrate_trajectory_reports_incursion_time():
 def test_crossing_report_exact_fan(one_field):
     t_grid = np.linspace(0.0, 1.0, 101)
     starts = np.linspace(0.2, 1.8, 10)
-    trajs = [analytic.exact_trajectory(one_field, (s,), t_grid)
-             for s in starts]
+    trajs = analytic.exact_trajectory(one_field, starts[:, None], t_grid)
     report = bohm.crossing_report(trajs)
     assert report.ok
     assert report.violations == ()
@@ -258,7 +257,7 @@ def test_crossing_report_exact_fan(one_field):
 
 def test_crossing_report_flags_identical_starts(one_field):
     t_grid = np.linspace(0.0, 0.1, 11)
-    tr = analytic.exact_trajectory(one_field, (0.7,), t_grid)
+    tr, = analytic.exact_trajectory(one_field, [(0.7,)], t_grid)
     report = bohm.crossing_report([tr, tr], min_separation=1e-6)
     assert not report.ok
     assert len(report.violations) > 0
@@ -266,8 +265,8 @@ def test_crossing_report_flags_identical_starts(one_field):
 
 def test_crossing_report_2d_separation(boson_field):
     t_grid = np.linspace(0.0, 0.05, 6)
-    t1 = analytic.exact_trajectory(boson_field, (1.0, -0.6), t_grid)
-    t2 = analytic.exact_trajectory(boson_field, (1.0, -0.6), t_grid)
+    t1, t2 = analytic.exact_trajectory(boson_field, [(1.0, -0.6)] * 2,
+                                       t_grid)
     report = bohm.crossing_report([t1, t2], min_separation=1e-3)
     assert not report.ok
 

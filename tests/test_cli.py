@@ -245,15 +245,19 @@ def test_unstable_step_detected(tmp_path):
     assert manifest["errors"]["norm_drift"] > 1e-6
 
 
+# 1.9 leaves the [-2, 2] grid mid-run; 0.5 stays inside throughout.
+# The boundary also pushes the norm drift over the guard: exit 2.
+LEFT_GRID_CFG = (
+    FD_CFG.replace("grid.lo = -13", "grid.lo = -2")
+    .replace("grid.hi = 13", "grid.hi = 2")
+    .replace("grid.n = 131", "grid.n = 81")
+    .replace("t_final = 0.05", "t_final = 0.1")
+    .replace("n_steps = 100", "n_steps = 500")
+    .replace("trajectory.starts = 0.8; -0.8", "trajectory.starts = 1.9; 0.5"))
+
+
 def test_trajectory_leaving_the_grid_is_truncated(tmp_path, capsys):
-    # 1.9 leaves the [-2, 2] grid mid-run; 0.5 stays inside throughout.
-    # The boundary also pushes the norm drift over the guard: exit 2.
-    text = FD_CFG.replace("grid.lo = -13", "grid.lo = -2").replace(
-        "grid.hi = 13", "grid.hi = 2").replace("grid.n = 131", "grid.n = 81")
-    text = text.replace("t_final = 0.05", "t_final = 0.1").replace(
-        "n_steps = 100", "n_steps = 500").replace(
-        "trajectory.starts = 0.8; -0.8", "trajectory.starts = 1.9; 0.5")
-    cfg_path = _write(tmp_path, "edge.cfg", text)
+    cfg_path = _write(tmp_path, "edge.cfg", LEFT_GRID_CFG)
     out = str(tmp_path / "runs")
     assert cli.main(["run", cfg_path, "--out", out]) == 2
     assert "Traceback" not in capsys.readouterr().err
@@ -275,6 +279,32 @@ def test_trajectory_leaving_the_grid_is_truncated(tmp_path, capsys):
         ids = [line.split(",")[0] for line in fh.readlines()[1:]]
     assert ids.count("0") == edge["steps_completed"] + 1
     assert ids.count("1") == 501
+
+
+def test_compare_reports_a_truncated_trajectory(tmp_path, capsys):
+    cfg_path = _write(tmp_path, "edge.cfg", LEFT_GRID_CFG)
+    out = str(tmp_path / "runs")
+    assert cli.main(["run", cfg_path, "--out", out]) == 2
+    run_dir = os.path.join(out, "tiny_fd")
+    manifest_path = os.path.join(run_dir, "manifest.json")
+    with open(manifest_path) as fh:
+        edge, _ = json.load(fh)["errors"]["trajectories"]
+    capsys.readouterr()
+    assert cli.main(["compare", manifest_path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    edge_line, inner_line = (line for line in lines
+                             if line.startswith("trajectory "))
+    assert edge_line.startswith("trajectory 0 from [1.9]: max dev ")
+    assert (f"truncated: steps_completed = {edge['steps_completed']} of 500"
+            f", left_grid_time = {edge['left_grid_time']:.6g}") in edge_line
+    assert "incursion_time" not in edge_line
+    assert inner_line.startswith("trajectory 1 from [0.5]: max dev ")
+    assert "truncated" not in inner_line
+    with open(os.path.join(run_dir, "errors.csv")) as fh:
+        rows = fh.read().splitlines()
+    assert rows[0] == "quantity,max_error,secondary"
+    assert [r.split(",")[0] for r in rows if r.startswith("trajectory_")] \
+        == ["trajectory_0", "trajectory_1"]
 
 
 def test_underdetermined_mwls_is_an_error(tmp_path, capsys):
@@ -341,7 +371,7 @@ def test_flagged_deviation_matches_per_time_loop(one_field):
     results, _ = bohm.integrate_family(provider, starts)
     n_flagged = 0
     for (traj, _), s in zip(results, starts):
-        ex = analytic.exact_trajectory(one_field, s, traj.times)
+        ex, = analytic.exact_trajectory(one_field, [s], traj.times)
         got = cli._flagged_deviation(traj, ex, one_field)
         assert got == _flagged_deviation_loop(traj, ex, one_field)
         n_flagged += got["n_flagged_times"]

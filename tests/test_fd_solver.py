@@ -87,7 +87,7 @@ def test_rhs_split_form(one_field):
     # dpsi_R/dt = -(1/2) lap psi_I,  dpsi_I/dt = (1/2) lap psi_R  (V = 0)
     g = UniformGrid(-13.0, 13.0, 261)
     fld = analytic.sample_field(one_field, g, 0.3)
-    dre, dim_ = fd_solver.rhs(fld.re, fld.im, g, np.zeros(g.shape))
+    dre, dim_ = fd_solver.rhs(fld.re, fld.im, g)
     assert np.allclose(dre, -0.5 * fd_solver.laplacian(fld.im, g))
     assert np.allclose(dim_, 0.5 * fd_solver.laplacian(fld.re, g))
 
@@ -97,40 +97,27 @@ def test_rhs_linearity(one_field, packet_field):
     a = analytic.sample_field(one_field, g, 0.2)
     b = analytic.sample_field(packet_field, g, 0.2)
     combo = ComplexField(grid=g, re=2 * a.re + b.re, im=2 * a.im + b.im)
-    ra, ia = fd_solver.rhs(a.re, a.im, g, 0.0)
-    rb, ib = fd_solver.rhs(b.re, b.im, g, 0.0)
-    rc, ic = fd_solver.rhs(combo.re, combo.im, g, 0.0)
+    ra, ia = fd_solver.rhs(a.re, a.im, g)
+    rb, ib = fd_solver.rhs(b.re, b.im, g)
+    rc, ic = fd_solver.rhs(combo.re, combo.im, g)
     assert np.allclose(rc, 2 * ra + rb, atol=1e-12)
     assert np.allclose(ic, 2 * ia + ib, atol=1e-12)
 
 
-def test_potential_term():
-    g = UniformGrid(-2.0, 2.0, 41)
-    y = g.axis()
-    fld = ComplexField(grid=g, re=np.exp(-y ** 2), im=np.zeros_like(y))
-    v = 0.5 * y ** 2
-    _, di_free = fd_solver.rhs(fld.re, fld.im, g, np.zeros(g.shape))
-    _, di_trap = fd_solver.rhs(fld.re, fld.im, g, v)
-    assert np.allclose(di_trap - di_free, -v * fld.re, atol=1e-13)
-
-
 def test_symmetry_preserved_by_stepping(one_field):
     g = UniformGrid(-13.0, 13.0, 261)
-    state = fd_solver.FdState(field=analytic.sample_field(one_field, g, 0.0),
-                              t=0.0)
-    for st in fd_solver.iterate(state, 2e-4, 50):
+    initial = analytic.sample_field(one_field, g, 0.0)
+    for _, fld in fd_solver.iterate(initial, 2e-4, 50):
         pass
-    assert np.allclose(st.field.re, st.field.re[::-1], atol=1e-13)
-    assert np.allclose(st.field.im, st.field.im[::-1], atol=1e-13)
+    assert np.allclose(fld.re, fld.re[::-1], atol=1e-13)
+    assert np.allclose(fld.im, fld.im[::-1], atol=1e-13)
 
 
 def test_short_run_accuracy_and_norm(one_field):
     g = UniformGrid(-13.0, 13.0, 261)
     initial = analytic.sample_field(one_field, g, 0.0)
-    state = fd_solver.FdState(field=initial, t=0.0)
-    for st in fd_solver.iterate(state, 0.1 / 500, 500):
+    for t_final, final in fd_solver.iterate(initial, 0.1 / 500, 500):
         pass
-    t_final, final = st.t, st.field
     assert t_final == pytest.approx(0.1)
     exact = one_field.psi(g.axis(), 0.1)
     # the packets are only ~2 grid points per width before they spread,
@@ -145,11 +132,10 @@ def test_snapshot_times(one_field):
                          n_steps=10, solver="schrodinger_fd",
                          snapshot_times=(0.0, 0.005))
     initial = analytic.sample_field(one_field, g, 0.0)
-    state = fd_solver.FdState(field=initial, t=0.0)
     wanted = cfg.snapshot_indices
     times = [0.0] if 0 in wanted else []
-    for k, st in enumerate(fd_solver.iterate(state, cfg.dt, cfg.n_steps),
-                           start=1):
+    for k, (t, _) in enumerate(fd_solver.iterate(initial, cfg.dt,
+                                                 cfg.n_steps), start=1):
         if k in wanted:
-            times.append(st.t)
+            times.append(t)
     assert times == pytest.approx([0.0, 0.005, 0.01])

@@ -95,17 +95,6 @@ def test_stencil_engine_needs_uniform_grid():
         hydro_solver.StencilEngine(np.array([0.0, 0.1, 0.3, 0.4, 0.5]))
 
 
-def test_external_potential_force():
-    y = np.linspace(-1.0, 1.0, 61)
-    ens = hydro_solver.FluidEnsemble(y=y.copy(), v=np.zeros_like(y),
-                                     g=np.zeros_like(y), t=0.0)
-    dt = 1e-3
-    harmonic = lambda yy: 0.5 * yy ** 2
-    out = hydro_solver.lagrangian_step(ens, dt, CFG12, potential=harmonic)
-    ref = hydro_solver.lagrangian_step(ens, dt, CFG12)
-    assert np.allclose(out.v - ref.v, -dt * y, atol=1e-9)
-
-
 def test_crossing_flips_status_degraded():
     y = np.linspace(-1.0, 1.0, 41)
     ens = hydro_solver.FluidEnsemble(y=y.copy(), v=-10.0 * y,
