@@ -4,7 +4,7 @@ Everything here is exact (up to round-off) and serves as the oracle
 against which the numerical solvers are judged. Only the transverse
 (y) dependence is evolved; the longitudinal plane-wave factor
 exp(i[kx*x - kx^2 t/2]) decouples and gives the trivial drift
-x(t) = x(0) + kx*t, see :func:`x_trajectory`.
+x(t) = x(0) + kx*t.
 """
 
 from dataclasses import dataclass
@@ -306,11 +306,6 @@ def exact_trajectory(fld, starts, t_grid):
         positions[:, k + 1] = r
     return [Trajectory(times=t_grid.copy(), positions=p, provenance="exact")
             for p in positions]
-
-
-def x_trajectory(params, x0, t):
-    """Longitudinal Bohmian coordinate: uniform drift x0 + kx * t."""
-    return x0 + params.kx * np.asarray(t, dtype=float)
 
 
 def sample_field(fld, grid, t):

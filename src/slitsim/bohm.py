@@ -9,9 +9,9 @@ the velocity linearly interpolated in time between adjacent field steps.
 A family of trajectories is integrated as one stack: each RK4 stage is
 one interpolation call per field over every live trajectory.
 
-A trajectory that runs into a masked (near-node) region fails loudly with
-the time of incursion instead of continuing on extrapolated velocities;
-one that leaves the grid stops with the time it left.
+A trajectory that runs into a masked (near-node) region stops with the
+time of incursion instead of continuing on extrapolated velocities; one
+that leaves the grid stops with the time it left.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fd_solver
-from .analytic import Trajectory
+from .analytic import Trajectory, _stack
 from .core import EPS_NODE
 from .errors import MaskedRegion, OutsideGrid
 
@@ -143,15 +143,12 @@ def _inside(grid, points):
 def interpolate_velocity(vf, points):
     """Velocity at off-grid points by local cubic interpolation.
 
-    A single point of shape (dim,) gives a (dim,) vector and raises
-    MaskedRegion where its stencil is majority-masked. A stack of shape
-    (m, dim) gives (m, dim), with a NaN row for each such point. Points
-    outside the grid raise OutsideGrid either way.
+    points is a stack of shape (m, dim); the result has shape (m, dim),
+    with a NaN row for each point whose stencil is majority-masked.
+    Points outside the grid raise OutsideGrid.
     """
     grid = vf.grid
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim < 2
-    pts = pts.reshape(-1, grid.dim)
+    pts = _stack(points, grid.dim)
     inside = _inside(grid, pts)
     if not inside.all():
         raise OutsideGrid(f"point {pts[~inside][0]} outside the grid")
@@ -177,10 +174,8 @@ def interpolate_velocity(vf, points):
         try:
             out[i] = _interp_masked(vf, pts[i])
         except MaskedRegion:
-            if single:
-                raise
             out[i] = np.nan
-    return out[0] if single else out
+    return out
 
 
 class FdFieldProvider:
@@ -318,23 +313,6 @@ def integrate_family(provider, starts, provenance="fd",
                                    provenance=provenance,
                                    stop_reason=stop[j]), incursion[j]))
     return results, fields
-
-
-def integrate_trajectory(provider, start, provenance="fd"):
-    """One trajectory over the whole field lattice: a family of one.
-
-    Raises MaskedRegion (with the incursion time in ``t``) if the path
-    enters a near-node region, and OutsideGrid if it leaves the grid.
-    """
-    [(traj, incursion)], _ = integrate_family(provider, [start], provenance)
-    if traj.stop_reason == "left_grid":
-        raise OutsideGrid(
-            f"trajectory left the grid at t={traj.times[-1]:.6g}")
-    if incursion is not None:
-        raise MaskedRegion(
-            f"trajectory entered a node region at t={incursion:.6g}",
-            t=incursion)
-    return traj
 
 
 @dataclass(frozen=True)

@@ -225,9 +225,7 @@ def run_qp_study(spec, out_dir):
     for order in orders:
         mc = MwlsConfig(n_neighbors=cfg.mwls.n_neighbors, poly_order=order,
                         weight_width=cfg.mwls.weight_width)
-        op = JetOperator(y, mc)
-        _, grad, lap = op.apply(g)
-        q = -0.5 * (grad[:, 0] ** 2 + lap)
+        q, _ = hydro_solver.quantum_potential(JetOperator(y, mc), g)
         columns.append(q)
         names.append(f"Q_order{order}")
         err = np.abs(q - q_exact)
@@ -436,7 +434,7 @@ def main(argv=None):
         for name in bundled_scenarios():
             print(name)
         return 0
-    except SlitsimError as exc:
+    except (SlitsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -107,13 +107,6 @@ def parse_config(text):
                                                    conv, default)
 
     particles = get("particles", int, 1)
-    packet = WavePacketParams(
-        Y=get("packet.Y", float, 1.0),
-        sigma0=get("packet.sigma0", float, 0.2),
-        kx=get("packet.kx", float, 0.1),
-        particles=particles,
-        exchange_sign=get("exchange_sign", int, +1),
-    )
     field_kind = get("field.kind", str, "")
     if field_kind not in ("", "one_particle", "two_particle",
                           "single_packet"):
@@ -123,29 +116,35 @@ def parse_config(text):
         field_kind = ""
 
     dim = 1 if particles == 1 or field_kind == "single_packet" else 2
-    grid = UniformGrid(
-        lo=get("grid.lo", float),
-        hi=get("grid.hi", float),
-        n=get("grid.n", int),
-        dim=dim,
-    )
-
     solver = get("solver", str)
-    mwls = None
-    if "mwls.neighbors" in pairs or "mwls.order" in pairs \
-            or solver != "schrodinger_fd":
-        width = pairs.get("mwls.width", "auto")
-        mwls = MwlsConfig(
-            n_neighbors=get("mwls.neighbors", int, 12),
-            poly_order=get("mwls.order", int, 5),
-            weight_width="auto" if width == "auto" else float(width),
-        )
-
     mode = get("mode", str, "propagate")
     if mode not in ("propagate", "qp_study"):
         raise ConfigError(f"unknown mode {mode!r}", line=lines.get("mode"))
 
     try:
+        packet = WavePacketParams(
+            Y=get("packet.Y", float, 1.0),
+            sigma0=get("packet.sigma0", float, 0.2),
+            kx=get("packet.kx", float, 0.1),
+            particles=particles,
+            exchange_sign=get("exchange_sign", int, +1),
+        )
+        grid = UniformGrid(
+            lo=get("grid.lo", float),
+            hi=get("grid.hi", float),
+            n=get("grid.n", int),
+            dim=dim,
+        )
+        mwls = None
+        if "mwls.neighbors" in pairs or "mwls.order" in pairs \
+                or solver != "schrodinger_fd":
+            mwls = MwlsConfig(
+                n_neighbors=get("mwls.neighbors", int, 12),
+                poly_order=get("mwls.order", int, 5),
+                weight_width=get(
+                    "mwls.width",
+                    lambda v: v if v == "auto" else float(v), "auto"),
+            )
         config = ScenarioConfig(
             packet=packet,
             grid=grid,

@@ -24,15 +24,7 @@ class IllConditioned(SlitsimError):
 
 
 class MaskedRegion(SlitsimError):
-    """Interpolation stencil dominated by near-node (masked) grid points.
-
-    Carries the time of incursion in ``t`` when raised during trajectory
-    integration (None otherwise).
-    """
-
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
+    """Interpolation stencil dominated by near-node (masked) grid points."""
 
 
 class OutsideGrid(SlitsimError, ValueError):

@@ -17,8 +17,7 @@ adds the advective terms
     g <- g - (1/2) dt * dv/dy - dt * v * dg/dy
 
 and, because the geometry never changes, reuses the least-squares
-factorization from the first step (or can swap in the uniform-grid
-finite-difference stencils).
+factorization from the first step.
 
 Runs do not abort on physical breakdown: the run status flips to
 "Degraded" and diagnostics keep being recorded, since observing the
@@ -32,8 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import analytic, fd_solver
-from .core import UniformGrid
+from . import analytic
 from .errors import IllConditioned, NodeError
 from .mwls import JetOperator
 
@@ -82,11 +80,14 @@ def init_from_exact(field, points):
     return FluidEnsemble(y=y, v=v + 0.0, g=g, t=0.0)
 
 
-def quantum_potential(ensemble, mwls_config, operator=None):
-    """Q at every ensemble point from MWLS jets of g."""
-    op = operator or JetOperator(ensemble.y, mwls_config)
-    _, grad, lap = op.apply(ensemble.g)
-    return -0.5 * (grad[:, 0] ** 2 + lap)
+def quantum_potential(op, g):
+    """Q = -(1/2)[(dg/dy)^2 + d2g/dy2] at the operator's points, from the
+    MWLS jets of the log-amplitude g.
+
+    Returns (Q, dg/dy): Euler's viewpoint also advects g with the slope.
+    """
+    _, dg, d2g = op.apply(g)
+    return -0.5 * (dg[:, 0] ** 2 + d2g), dg[:, 0]
 
 
 def lagrangian_step(ensemble, dt, mwls_config):
@@ -98,8 +99,7 @@ def lagrangian_step(ensemble, dt, mwls_config):
     if dt <= 0:
         raise ValueError("dt must be positive")
     op = JetOperator(ensemble.y, mwls_config)
-    _, dg, d2g = op.apply(ensemble.g)
-    q = -0.5 * (dg[:, 0] ** 2 + d2g)
+    q, _ = quantum_potential(op, ensemble.g)
     _, dq, _ = op.apply(q)
     _, dv, _ = op.apply(ensemble.v)
 
@@ -118,45 +118,19 @@ def lagrangian_step(ensemble, dt, mwls_config):
                          t=ensemble.t + dt, status=status)
 
 
-class MwlsEngine:
-    """Fixed-grid derivative engine backed by a reusable MWLS factorization."""
+def eulerian_step(ensemble, dt, op):
+    """One forward-Euler step on the fixed grid (advective form).
 
-    def __init__(self, points, mwls_config):
-        self._op = JetOperator(points, mwls_config)
-
-    def derive(self, values):
-        value, grad, lap = self._op.apply(values)
-        return value, grad[:, 0], lap
-
-
-class StencilEngine:
-    """Fixed-grid derivative engine using the 4th-order FD stencils."""
-
-    def __init__(self, points):
-        y = np.asarray(points, dtype=float)
-        deltas = np.diff(y)
-        if not np.allclose(deltas, deltas[0], rtol=1e-12, atol=0.0):
-            raise ValueError("stencil engine needs a uniform grid")
-        self._grid = UniformGrid(lo=float(y[0]), hi=float(y[-1]), n=len(y))
-
-    def derive(self, values):
-        values = np.asarray(values, dtype=float)
-        dy = fd_solver.gradient(values, self._grid)[0]
-        d2y = fd_solver.laplacian(values, self._grid)
-        return values.copy(), dy, d2y
-
-
-def eulerian_step(ensemble, dt, engine):
-    """One forward-Euler step on the fixed grid (advective form)."""
+    op is the JetOperator of the grid points, built once per run.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    _, dg, d2g = engine.derive(ensemble.g)
-    q = -0.5 * (dg ** 2 + d2g)
-    _, dq, _ = engine.derive(q)
-    _, dv, _ = engine.derive(ensemble.v)
+    q, dg = quantum_potential(op, ensemble.g)
+    _, dq, _ = op.apply(q)
+    _, dv, _ = op.apply(ensemble.v)
 
-    v_new = ensemble.v - dt * dq - dt * ensemble.v * dv
-    g_new = ensemble.g - 0.5 * dt * dv - dt * ensemble.v * dg
+    v_new = ensemble.v - dt * dq[:, 0] - dt * ensemble.v * dv[:, 0]
+    g_new = ensemble.g - 0.5 * dt * dv[:, 0] - dt * ensemble.v * dg
 
     status = ensemble.status
     if (not np.all(np.isfinite(v_new)) or not np.all(np.isfinite(g_new))):
@@ -179,7 +153,8 @@ def _exact_profiles(field, y, t):
 def diagnose(ensemble, field, mwls_config):
     """Snapshot diagnostics comparing the ensemble to the exact field."""
     try:
-        q_num = quantum_potential(ensemble, mwls_config)
+        q_num, _ = quantum_potential(JetOperator(ensemble.y, mwls_config),
+                                     ensemble.g)
     except IllConditioned:
         q_num = np.full_like(ensemble.y, np.nan)
     v_exact, q_exact = _exact_profiles(field, ensemble.y, ensemble.t)
@@ -196,7 +171,7 @@ def diagnose(ensemble, field, mwls_config):
         max_v_error=max_v, max_q_error=max_q, status=status)
 
 
-def propagate_hydro(config, engine_kind="mwls", points=None):
+def propagate_hydro(config, points=None):
     """Run the configured hydrodynamic scenario.
 
     Returns (ensemble snapshots, diagnostics). In Lagrange's viewpoint the
@@ -223,14 +198,9 @@ def propagate_hydro(config, engine_kind="mwls", points=None):
 
     wanted = config.snapshot_indices
 
-    engine = None
+    grid_op = None
     if config.solver == "hydro_euler":
-        if engine_kind == "mwls":
-            engine = MwlsEngine(points, config.mwls)
-        elif engine_kind == "stencil":
-            engine = StencilEngine(points)
-        else:
-            raise ValueError(f"unknown derivative engine {engine_kind!r}")
+        grid_op = JetOperator(points, config.mwls)
 
     snapshots = []
     diagnostics = []
@@ -243,7 +213,7 @@ def propagate_hydro(config, engine_kind="mwls", points=None):
             if config.solver == "hydro_lagrange":
                 ensemble = lagrangian_step(ensemble, dt, config.mwls)
             else:
-                ensemble = eulerian_step(ensemble, dt, engine)
+                ensemble = eulerian_step(ensemble, dt, grid_op)
         except (IllConditioned, NodeError):
             ensemble = replace(ensemble, status=DEGRADED)
             snapshots.append(ensemble)

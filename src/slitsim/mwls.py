@@ -19,7 +19,6 @@ matrix well-conditioned at high polynomial order. The conditioning
 estimate is taken on the scaled system.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,16 +26,6 @@ import numpy as np
 from .errors import IllConditioned, TooFewPoints
 
 CONDITION_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class DerivativeJet:
-    """Local fit output at the expansion point."""
-
-    value: float
-    gradient: np.ndarray
-    laplacian: float
-    condition_estimate: float
 
 
 def _as_points(points):
@@ -118,16 +107,6 @@ def _nearest(pts, tgt, nb):
     return idx
 
 
-def derivative_jet(points, values, r0, config):
-    """Value, gradient, and Laplacian of scattered data at one point r0."""
-    op = JetOperator(points, config,
-                     targets=np.reshape(np.asarray(r0, dtype=float), (1, -1)))
-    value, grad, lap = op.apply(values)
-    return DerivativeJet(value=float(value[0]), gradient=grad[0],
-                         laplacian=float(lap[0]),
-                         condition_estimate=float(op.condition_estimates[0]))
-
-
 class JetOperator:
     """Precomputed per-point linear maps from sample values to jets.
 
@@ -135,7 +114,8 @@ class JetOperator:
     assembling it once lets many functions (g, v, Q) be differentiated on
     the same points cheaply, and lets a fixed-grid solver reuse the
     factorization across time steps. Jets at different points are
-    independent: the whole construction is batched.
+    independent: the whole construction is batched. Jets are taken at
+    `targets` (shape (m, dim)), by default at the sample points themselves.
     """
 
     def __init__(self, points, config, targets=None):

@@ -21,7 +21,7 @@ from slitsim.cli import _flagged_deviation
 from slitsim.core import (MwlsConfig, ScenarioConfig, UniformGrid,
                           WavePacketParams, norm)
 from slitsim.errors import NodeError
-from slitsim.mwls import JetOperator, derivative_jet
+from slitsim.mwls import JetOperator
 
 RUN_SLOW = bool(os.environ.get("SLITSIM_SLOW"))
 slow = pytest.mark.skipif(
@@ -156,9 +156,8 @@ def test_criterion_5_quantum_potential_orders(one_field):
 
     near_errs, far_rels = [], []
     for order in (2, 3, 4, 5):
-        op = JetOperator(y, MwlsConfig(n_neighbors=12, poly_order=order))
-        _, grad, lap = op.apply(g)
-        q = -0.5 * (grad[:, 0] ** 2 + lap)
+        q, _ = hydro_solver.quantum_potential(
+            JetOperator(y, MwlsConfig(n_neighbors=12, poly_order=order)), g)
         err = np.abs(q - q_exact)
         near_errs.append(float(err[near].max()))
         far_rels.append(float(err[far].max() / scale))
@@ -248,8 +247,8 @@ def test_criterion_7_order_checks():
         coeff = rng.uniform(-1, 1, order + 1)
         vals = np.polynomial.polynomial.polyval(y[:, 0], coeff)
         cfg = MwlsConfig(n_neighbors=2 * (order + 1), poly_order=order)
-        jet = derivative_jet(y, vals, np.array([0.3]), cfg)
-        resid = max(resid, abs(jet.value - np.polynomial.polynomial
+        (value,), _, _ = JetOperator(y, cfg, targets=[[0.3]]).apply(vals)
+        resid = max(resid, abs(value - np.polynomial.polynomial
                                .polyval(0.3, coeff)))
 
     ok = (abs(space_order - 4.0) <= 0.2 and abs(time_order - 4.0) <= 0.2
@@ -296,12 +295,13 @@ def test_criterion_8_property_suite(one_field, boson_field,
     from slitsim.core import ComplexField
     mirrored = ComplexField(grid=g, re=initial.re[::-1].copy(),
                             im=initial.im[::-1].copy())
-    ta = bohm.integrate_trajectory(bohm.FdFieldProvider(initial, 5e-4, 40),
-                                   (0.8,))
-    tb = bohm.integrate_trajectory(bohm.FdFieldProvider(mirrored, 5e-4, 40),
-                                   (-0.8,))
+    [(ta, _)], _ = bohm.integrate_family(
+        bohm.FdFieldProvider(initial, 5e-4, 40), [(0.8,)])
+    [(tb, _)], _ = bohm.integrate_family(
+        bohm.FdFieldProvider(mirrored, 5e-4, 40), [(-0.8,)])
     checks.append(("trajectory equivariance",
-                   np.allclose(ta.positions, -tb.positions, atol=1e-12)))
+                   ta.stop_reason is None and tb.stop_reason is None
+                   and np.allclose(ta.positions, -tb.positions, atol=1e-12)))
 
     # non-crossing of an exact fan
     t_grid = np.linspace(0.0, 1.0, 101)

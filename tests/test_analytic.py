@@ -153,12 +153,6 @@ def test_similarity_trajectory(packet_field):
     assert end == pytest.approx(3.507987240797, abs=1e-6)
 
 
-def test_longitudinal_drift():
-    p = WavePacketParams()
-    t = np.array([0.0, 0.5, 1.0])
-    assert np.allclose(analytic.x_trajectory(p, 2.0, t), 2.0 + 0.1 * t)
-
-
 def test_node_guard_in_tails(one_field):
     # closed-form log-amplitude stays finite deep in the Gaussian tails
     g = one_field.log_amplitude(np.array([-5.0, 5.0]), 0.0)

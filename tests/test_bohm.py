@@ -5,7 +5,7 @@ import pytest
 
 from slitsim import analytic, bohm
 from slitsim.core import ComplexField, UniformGrid, WavePacketParams
-from slitsim.errors import MaskedRegion, OutsideGrid
+from slitsim.errors import OutsideGrid
 
 
 def _synthetic_vf(grid, func, mask=None):
@@ -15,6 +15,13 @@ def _synthetic_vf(grid, func, mask=None):
         mask = np.zeros(grid.n, dtype=bool)
     return bohm.VelocityField(grid=grid, t=0.0, components=(vals,),
                               mask=mask)
+
+
+def _solo(provider, start):
+    """The trajectory of a family of one, which must run to the end."""
+    [(traj, incursion)], _ = bohm.integrate_family(provider, [start])
+    assert traj.stop_reason is None and incursion is None
+    return traj
 
 
 def _velocity_field_error(one_field, n):
@@ -59,17 +66,16 @@ def test_interpolation_on_node_matches_grid_value():
     g = UniformGrid(-2.0, 2.0, 41)
     vf = _synthetic_vf(g, lambda y: np.tanh(y))
     y7 = g.axis()[7]
-    out = bohm.interpolate_velocity(vf, np.array([y7]))
-    assert out[0] == pytest.approx(np.tanh(y7), rel=1e-12)
+    out = bohm.interpolate_velocity(vf, np.array([[y7]]))
+    assert out[0, 0] == pytest.approx(np.tanh(y7), rel=1e-12)
 
 
 def test_interpolation_cubic_exactness():
     g = UniformGrid(-2.0, 2.0, 41)
     vf = _synthetic_vf(g, lambda y: y ** 3 - 2.0 * y)
-    rng = np.random.default_rng(1)
-    for x in rng.uniform(-1.8, 1.8, 50):
-        out = bohm.interpolate_velocity(vf, np.array([x]))
-        assert out[0] == pytest.approx(x ** 3 - 2.0 * x, abs=1e-12)
+    xs = np.random.default_rng(1).uniform(-1.8, 1.8, 50)
+    out = bohm.interpolate_velocity(vf, xs[:, None])
+    assert np.allclose(out[:, 0], xs ** 3 - 2.0 * xs, rtol=0.0, atol=1e-12)
 
 
 def test_interpolation_fourth_order():
@@ -78,8 +84,8 @@ def test_interpolation_fourth_order():
         vf = _synthetic_vf(g, np.sin)
         rng = np.random.default_rng(2)
         pts = rng.uniform(-1.5, 1.5, 200)
-        return max(abs(bohm.interpolate_velocity(vf, np.array([x]))[0]
-                       - np.sin(x)) for x in pts)
+        out = bohm.interpolate_velocity(vf, pts[:, None])
+        return np.abs(out[:, 0] - np.sin(pts)).max()
 
     e1, e2 = max_err(41), max_err(81)
     assert e1 / e2 > 10.0  # ~16 for a 4th-order scheme
@@ -93,7 +99,7 @@ def test_interpolation_2d_bicubic_exactness(boson_field):
     mask = np.zeros(g.shape, dtype=bool)
     vf = bohm.VelocityField(grid=g, t=0.0, components=(c1, c2), mask=mask)
     pt = np.array([0.37, -1.21])
-    out = bohm.interpolate_velocity(vf, pt)
+    out = bohm.interpolate_velocity(vf, pt[None])[0]
     a, b = pt
     assert out[0] == pytest.approx(a ** 3 * b - b ** 2, abs=1e-12)
     assert out[1] == pytest.approx(a * b ** 3 + 1.0, abs=1e-12)
@@ -105,17 +111,8 @@ def test_interpolation_skips_minority_masked():
     mask[20] = True
     vf = _synthetic_vf(g, lambda y: y ** 3, mask=mask)
     x = g.axis()[20] + 0.03  # stencil straddles the masked point
-    out = bohm.interpolate_velocity(vf, np.array([x]))
-    assert out[0] == pytest.approx(x ** 3, abs=1e-12)
-
-
-def test_interpolation_raises_in_masked_region():
-    g = UniformGrid(-2.0, 2.0, 41)
-    mask = np.zeros(41, dtype=bool)
-    mask[18:24] = True
-    vf = _synthetic_vf(g, lambda y: y ** 3, mask=mask)
-    with pytest.raises(MaskedRegion):
-        bohm.interpolate_velocity(vf, np.array([g.axis()[20] + 0.01]))
+    out = bohm.interpolate_velocity(vf, np.array([[x]]))
+    assert out[0, 0] == pytest.approx(x ** 3, abs=1e-12)
 
 
 def _packet_provider(n=261, dt=1e-3, n_steps=1000):
@@ -127,7 +124,7 @@ def _packet_provider(n=261, dt=1e-3, n_steps=1000):
 
 def test_trajectory_endpoint_similarity():
     fld, provider = _packet_provider(n=521)
-    traj = bohm.integrate_trajectory(provider, (1.2,))
+    traj = _solo(provider, (1.2,))
     assert traj.positions[-1, 0] == pytest.approx(3.507987240797, abs=1e-3)
     assert traj.provenance == "fd"
     assert len(traj.times) == 1001
@@ -137,7 +134,7 @@ def test_symmetry_axis_is_invariant(one_field):
     g = UniformGrid(-13.0, 13.0, 261)
     initial = analytic.sample_field(one_field, g, 0.0)
     provider = bohm.FdFieldProvider(initial, 1e-3, 50)
-    traj = bohm.integrate_trajectory(provider, (0.0,))
+    traj = _solo(provider, (0.0,))
     assert np.allclose(traj.positions[:, 0], 0.0, atol=1e-12)
 
 
@@ -148,8 +145,8 @@ def test_reflection_equivariance(one_field):
     p2 = bohm.FdFieldProvider(
         ComplexField(grid=g, re=initial.re[::-1].copy(),
                      im=initial.im[::-1].copy()), 1e-3, 100)
-    t1 = bohm.integrate_trajectory(p1, (0.8,))
-    t2 = bohm.integrate_trajectory(p2, (-0.8,))
+    t1 = _solo(p1, (0.8,))
+    t2 = _solo(p2, (-0.8,))
     assert np.allclose(t1.positions, -t2.positions, atol=1e-12)
 
 
@@ -158,8 +155,8 @@ def test_boson_exchange_swap(boson_field):
     initial = analytic.sample_field(boson_field, g, 0.0)
     p1 = bohm.FdFieldProvider(initial, 2e-4, 100)
     p2 = bohm.FdFieldProvider(initial, 2e-4, 100)
-    t1 = bohm.integrate_trajectory(p1, (1.0, -0.6))
-    t2 = bohm.integrate_trajectory(p2, (-0.6, 1.0))
+    t1 = _solo(p1, (1.0, -0.6))
+    t2 = _solo(p2, (-0.6, 1.0))
     assert np.allclose(t1.positions, t2.positions[:, ::-1], atol=1e-12)
 
 
@@ -171,7 +168,7 @@ def test_dt_refinement():
     errs = []
     for n_steps in (25, 400):
         provider = bohm.FdFieldProvider(initial, 0.2 / n_steps, n_steps)
-        traj = bohm.integrate_trajectory(provider, (1.4,))
+        traj = _solo(provider, (1.4,))
         exact = fld.similarity_position(1.4, 0.2)
         errs.append(abs(traj.positions[-1, 0] - exact))
     assert errs[1] < errs[0]
@@ -211,7 +208,8 @@ def test_family_truncates_on_node_incursion():
     results, _ = bohm.integrate_family(provider, [(-1.0,), (1.2,)])
     (ok_traj, ok_inc), (cut_traj, cut_inc) = results
     assert ok_inc is None or ok_inc > cut_inc
-    assert cut_inc is not None
+    assert cut_traj.stop_reason == "incursion"
+    assert cut_inc is not None and 0.0 <= cut_inc <= 2.0
     assert len(cut_traj.times) < 41
     assert cut_traj.positions[-1, 0] < 1.5
 
@@ -229,21 +227,7 @@ def test_family_truncates_a_trajectory_that_leaves_the_grid():
     [(solo, _)], _ = bohm.integrate_family(provider, [(-1.5,)])
     assert np.array_equal(in_traj.positions, solo.positions)
     with pytest.raises(OutsideGrid):
-        bohm.integrate_trajectory(provider, (1.0,))
-    with pytest.raises(OutsideGrid):
-        bohm.interpolate_velocity(vf, np.array([2.5]))
-
-
-def test_integrate_trajectory_reports_incursion_time():
-    g = UniformGrid(-2.0, 2.0, 41)
-    mask = np.zeros(41, dtype=bool)
-    mask[35:] = True
-    vf = _synthetic_vf(g, lambda y: np.ones_like(y), mask=mask)
-    provider = _FrozenProvider(vf, dt=0.05, n_steps=40)
-    with pytest.raises(MaskedRegion) as exc_info:
-        bohm.integrate_trajectory(provider, (1.2,))
-    assert exc_info.value.t is not None
-    assert 0.0 <= exc_info.value.t <= 2.0
+        bohm.interpolate_velocity(vf, np.array([[2.5]]))
 
 
 def test_crossing_report_exact_fan(one_field):
@@ -310,13 +294,6 @@ def test_family_masked_members_leave_the_others_unchanged(one_field):
         assert np.array_equal(traj.positions, solo.positions)
 
 
-def test_integrate_trajectory_is_a_family_of_one(one_field):
-    provider = _fd_provider(one_field)
-    [(member, _)], _ = bohm.integrate_family(provider(), [(0.8,)])
-    traj = bohm.integrate_trajectory(provider(), (0.8,))
-    assert np.array_equal(traj.positions, member.positions)
-
-
 def test_interpolation_2d_stack_equals_single_points():
     g = UniformGrid(-2.0, 2.0, 41, dim=2)
     y1, y2 = g.meshgrid()
@@ -333,10 +310,11 @@ def test_interpolation_2d_stack_equals_single_points():
     out = bohm.interpolate_velocity(vf, pts)
     assert out.shape == (5, 2)
     assert np.isnan(out[2]).all()
-    for i in (0, 1, 3, 4):
-        assert np.array_equal(out[i], bohm.interpolate_velocity(vf, pts[i]))
-    with pytest.raises(MaskedRegion):
-        bohm.interpolate_velocity(vf, pts[2])
+    for i in range(5):
+        assert np.array_equal(out[i], bohm.interpolate_velocity(
+            vf, pts[i:i + 1])[0], equal_nan=True)
+    with pytest.raises(ValueError, match="expected a stack"):
+        bohm.interpolate_velocity(vf, pts[0])
     # the minority-masked point took the fallback stencil and is still
     # exact for the bicubic-representable component
     assert out[1, 1] == pytest.approx(0.03 * 0.02 ** 2, abs=1e-12)
@@ -351,9 +329,11 @@ def test_interpolation_1d_stack_equals_single_points():
     xs = np.array([-1.93, -0.47, g.axis()[20] + 0.03, 1.22, 1.99])
     out = bohm.interpolate_velocity(vf, xs[:, None])
     assert np.isnan(out[3]).all()
-    for i in (0, 1, 2, 4):
-        assert np.array_equal(out[i],
-                              bohm.interpolate_velocity(vf, xs[i:i + 1]))
+    for i in range(5):
+        assert np.array_equal(out[i], bohm.interpolate_velocity(
+            vf, xs[i:i + 1, None])[0], equal_nan=True)
+    with pytest.raises(ValueError, match="expected a stack"):
+        bohm.interpolate_velocity(vf, xs[:1])
 
 
 def test_interpolation_outside_grid_raises_for_a_stack():

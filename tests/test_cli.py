@@ -5,10 +5,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from slitsim import cli, fd_solver
-from slitsim.config import (load_config, parse_config, spec_from_dict,
-                            spec_to_dict)
+from slitsim.config import (RunSpec, load_config, parse_config,
+                            spec_from_dict, spec_to_dict)
+from slitsim.core import (MIN_POINTS, SOLVERS, MwlsConfig, ScenarioConfig,
+                          UniformGrid, WavePacketParams)
 from slitsim.errors import ConfigError
 
 FD_CFG = """\
@@ -135,6 +139,47 @@ def test_bundled_scenarios_round_trip_through_json():
         assert spec_from_dict(data) == spec
 
 
+@st.composite
+def _run_specs(draw):
+    """Valid RunSpecs: FD and hydro, 1D and 2D, every kind of mwls entry."""
+    field_kind = draw(st.sampled_from(("", "single_packet")))
+    particles = draw(st.sampled_from((1, 2)))
+    dim = 1 if field_kind else particles
+    lo = draw(st.floats(-20.0, 0.0))
+    hi = draw(st.floats(0.5, 20.0))
+    coord = st.floats(lo, hi, exclude_min=True, exclude_max=True)
+    mwls = draw(st.one_of(st.none(), st.builds(
+        MwlsConfig, n_neighbors=st.integers(6, 40),
+        poly_order=st.integers(2, 7),
+        weight_width=st.one_of(st.just("auto"), st.floats(1e-3, 10.0)))))
+    config = ScenarioConfig(
+        packet=WavePacketParams(
+            Y=draw(st.floats(0.1, 5.0)), sigma0=draw(st.floats(0.01, 2.0)),
+            kx=draw(st.floats(-5.0, 5.0)), particles=particles,
+            exchange_sign=draw(st.sampled_from((1, -1)))),
+        grid=UniformGrid(lo, hi, draw(st.integers(MIN_POINTS, 400)), dim),
+        t_final=draw(st.floats(1e-4, 10.0)),
+        n_steps=draw(st.integers(1, 20000)),
+        solver=draw(st.sampled_from(SOLVERS)),
+        trajectory_starts=tuple(draw(st.lists(
+            st.tuples(*[coord] * dim), max_size=4))),
+        mwls=mwls,
+        snapshot_times=tuple(draw(st.lists(st.floats(0.0, 10.0),
+                                           max_size=4))),
+        scenario=draw(st.text(max_size=12)),
+        field_kind=field_kind)
+    return RunSpec(config=config,
+                   mode=draw(st.sampled_from(("propagate", "qp_study"))),
+                   qp_orders=tuple(draw(st.lists(st.integers(2, 7),
+                                                 max_size=4))))
+
+
+@given(_run_specs())
+def test_spec_round_trips_through_a_manifest(spec):
+    data = json.loads(json.dumps(spec_to_dict(spec)))
+    assert spec_from_dict(data) == spec
+
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -195,6 +240,22 @@ def test_run_hydro_end_to_end(tmp_path):
     with open(os.path.join(run_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
     assert manifest["errors"]["snapshots"][-1]["max_v_error"] < 1e-3
+
+
+def test_run_hydro_euler_end_to_end(tmp_path):
+    text = (HYDRO_CFG.replace("tiny_hydro", "tiny_euler")
+            .replace("hydro_lagrange", "hydro_euler"))
+    cfg_path = _write(tmp_path, "euler.cfg", text)
+    out = str(tmp_path / "runs")
+    assert cli.main(["run", cfg_path, "--out", out]) == 0
+    run_dir = os.path.join(out, "tiny_euler")
+    assert os.path.exists(os.path.join(run_dir, "diagnostics.csv"))
+    # fixed grid points are not Bohmian paths
+    assert not os.path.exists(os.path.join(run_dir, "trajectories.csv"))
+    with open(os.path.join(run_dir, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    assert manifest["solver"] == "hydro_euler"
+    assert manifest["errors"]["snapshots"][-1]["max_v_error"] < 1e-5
 
 
 def test_run_qp_study(tmp_path):
@@ -313,6 +374,34 @@ def test_underdetermined_mwls_is_an_error(tmp_path, capsys):
     assert cli.main(["run", cfg_path, "--out", str(tmp_path / "runs")]) == 1
     err = capsys.readouterr().err
     assert "error: 4 neighbors cannot support 6 basis polynomials" in err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("mwls.order = 5", "mwls.order = 1", "poly_order must be >= 2"),
+    ("mwls.order = 5", "mwls.order = 5\nmwls.width = -1",
+     'weight_width must be positive or "auto"'),
+    ("mwls.order = 5", "mwls.order = 5\nmwls.width = abc",
+     "line 11: bad value for 'mwls.width'"),
+    ("grid.n = 201", "grid.n = 201\npacket.sigma0 = -1",
+     "sigma0 must be positive"),
+    ("grid.n = 201", "grid.n = 201\nexchange_sign = 3",
+     "exchange_sign must be +1 or -1"),
+    ("grid.hi = 3", "grid.hi = -2", "hi must exceed lo"),
+], ids=["order", "negative_width", "text_width", "sigma0", "exchange_sign",
+        "interval"])
+def test_invalid_config_value_is_an_error(tmp_path, capsys, old, new,
+                                          message):
+    cfg_path = _write(tmp_path, "bad.cfg", HYDRO_CFG.replace(old, new))
+    assert cli.main(["run", cfg_path, "--out", str(tmp_path / "runs")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_compare_missing_manifest_is_an_error(tmp_path, capsys):
+    missing = str(tmp_path / "no_run" / "manifest.json")
+    assert cli.main(["compare", missing]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "manifest.json" in err
 
 
 def test_masked_and_truncated_starts_are_reported(tmp_path, capsys):

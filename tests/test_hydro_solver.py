@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from slitsim import hydro_solver
+from slitsim import fd_solver, hydro_solver
 from slitsim.core import (MwlsConfig, ScenarioConfig, UniformGrid,
                           WavePacketParams)
+from slitsim.mwls import JetOperator
 
 
 CFG12 = MwlsConfig(n_neighbors=12, poly_order=5)
@@ -35,7 +36,9 @@ def test_init_from_exact(packet_field):
 def test_quantum_potential_from_jets(packet_field):
     y = np.linspace(0.2, 1.8, 81)
     ens = hydro_solver.init_from_exact(packet_field, y)
-    q = hydro_solver.quantum_potential(ens, CFG12)
+    op = JetOperator(y, CFG12)
+    q, dg = hydro_solver.quantum_potential(op, ens.g)
+    assert np.array_equal(dg, op.apply(ens.g)[1][:, 0])
     q_exact = packet_field.quantum_potential(y, 0.0)
     assert np.abs(q - q_exact).max() < 1e-6
 
@@ -54,7 +57,6 @@ def test_force_free_fixed_point():
 
 def test_lagrangian_bookkeeping():
     # per step, g changes by exactly -(1/2) dt * div v
-    from slitsim.mwls import JetOperator
     y = np.linspace(-1.0, 1.0, 61)
     v = 0.5 * y + 0.1 * y ** 2
     g = -y ** 2
@@ -73,26 +75,23 @@ def test_eulerian_advective_term():
     grid_pts = y.copy()
     ens = hydro_solver.FluidEnsemble(y=grid_pts, v=y.copy(),
                                      g=np.full_like(y, 0.25), t=0.0)
-    engine = hydro_solver.StencilEngine(y)
     dt = 2e-3
-    out = hydro_solver.eulerian_step(ens, dt, engine)
+    out = hydro_solver.eulerian_step(ens, dt, JetOperator(y, CFG12))
     assert np.allclose(out.v, (1.0 - dt) * y, atol=1e-12)
     assert np.allclose(out.g, 0.25 - 0.5 * dt, atol=1e-12)
     assert np.allclose(out.y, y)
 
 
 def test_engines_agree_on_smooth_data(packet_field):
-    y = np.linspace(0.2, 1.8, 161)
+    # MWLS jets on a uniform grid against the 4th-order FD stencils
+    grid = UniformGrid(0.2, 1.8, 161)
+    y = grid.axis()
     g = packet_field.log_amplitude(y, 0.0)
-    _, d_mwls, l_mwls = hydro_solver.MwlsEngine(y, CFG12).derive(g)
-    _, d_sten, l_sten = hydro_solver.StencilEngine(y).derive(g)
-    assert np.abs(d_mwls - d_sten).max() < 1e-6
+    _, d_mwls, l_mwls = JetOperator(y, CFG12).apply(g)
+    d_sten = fd_solver.gradient(g, grid)[0]
+    l_sten = fd_solver.laplacian(g, grid)
+    assert np.abs(d_mwls[:, 0] - d_sten).max() < 1e-6
     assert np.abs(l_mwls - l_sten).max() < 1e-4
-
-
-def test_stencil_engine_needs_uniform_grid():
-    with pytest.raises(ValueError):
-        hydro_solver.StencilEngine(np.array([0.0, 0.1, 0.3, 0.4, 0.5]))
 
 
 def test_crossing_flips_status_degraded():
@@ -122,7 +121,7 @@ def test_single_packet_refinement_ladder(packet_field):
 def test_eulerian_single_packet(packet_field):
     cfg = _scenario(solver="hydro_euler", grid=UniformGrid(0.0, 2.0, 201),
                     field_kind="single_packet", n_steps=100)
-    snaps, diags = hydro_solver.propagate_hydro(cfg, engine_kind="stencil")
+    snaps, diags = hydro_solver.propagate_hydro(cfg)
     final = diags[-1]
     assert final.status == hydro_solver.VALID
     assert final.max_v_error < 1e-4

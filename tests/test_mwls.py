@@ -108,10 +108,11 @@ def test_linear_recovery():
     y = np.linspace(-1.0, 1.0, 15).reshape(-1, 1)
     vals = 3.0 + 2.0 * y[:, 0]
     cfg = MwlsConfig(n_neighbors=8, poly_order=2)
-    jet = mwls.derivative_jet(y, vals, np.array([0.2]), cfg)
-    assert jet.value == pytest.approx(3.4, rel=1e-12)
-    assert jet.gradient[0] == pytest.approx(2.0, rel=1e-12)
-    assert jet.laplacian == pytest.approx(0.0, abs=1e-10)
+    (value,), (grad,), (lap,) = mwls.JetOperator(
+        y, cfg, targets=[[0.2]]).apply(vals)
+    assert value == pytest.approx(3.4, rel=1e-12)
+    assert grad[0] == pytest.approx(2.0, rel=1e-12)
+    assert lap == pytest.approx(0.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
@@ -121,15 +122,15 @@ def test_polynomial_exactness_1d(order):
     y = np.linspace(-1.0, 1.0, 41).reshape(-1, 1)
     vals = np.polynomial.polynomial.polyval(y[:, 0], coeff)
     cfg = MwlsConfig(n_neighbors=2 * (order + 1), poly_order=order)
-    r0 = np.array([0.3])
-    jet = mwls.derivative_jet(y, vals, r0, cfg)
+    (value,), (grad,), (lap,) = mwls.JetOperator(
+        y, cfg, targets=[[0.3]]).apply(vals)
     d = np.polynomial.polynomial.polyder(coeff)
     d2 = np.polynomial.polynomial.polyder(coeff, 2)
-    assert jet.value == pytest.approx(
+    assert value == pytest.approx(
         np.polynomial.polynomial.polyval(0.3, coeff), abs=1e-10)
-    assert jet.gradient[0] == pytest.approx(
+    assert grad[0] == pytest.approx(
         np.polynomial.polynomial.polyval(0.3, d), abs=1e-10)
-    assert jet.laplacian == pytest.approx(
+    assert lap == pytest.approx(
         np.polynomial.polynomial.polyval(0.3, d2), abs=1e-9)
 
 
@@ -139,17 +140,17 @@ def test_polynomial_exactness_2d():
     x, y = pts[:, 0], pts[:, 1]
     vals = 1.0 + x - 2.0 * y + 0.5 * x * y + x ** 2 - y ** 2 + x ** 2 * y
     cfg = MwlsConfig(n_neighbors=25, poly_order=3)
-    r0 = np.array([0.1, -0.2])
-    jet = mwls.derivative_jet(pts, vals, r0, cfg)
-    a, b = r0
-    assert jet.value == pytest.approx(
+    a, b = 0.1, -0.2
+    (value,), (grad,), (lap,) = mwls.JetOperator(
+        pts, cfg, targets=[[a, b]]).apply(vals)
+    assert value == pytest.approx(
         1 + a - 2 * b + 0.5 * a * b + a ** 2 - b ** 2 + a ** 2 * b,
         abs=1e-9)
-    assert jet.gradient[0] == pytest.approx(
+    assert grad[0] == pytest.approx(
         1 + 0.5 * b + 2 * a + 2 * a * b, abs=1e-9)
-    assert jet.gradient[1] == pytest.approx(
+    assert grad[1] == pytest.approx(
         -2 + 0.5 * a - 2 * b + a ** 2, abs=1e-9)
-    assert jet.laplacian == pytest.approx(2 + 2 * b - 2, abs=1e-8)
+    assert lap == pytest.approx(2 + 2 * b - 2, abs=1e-8)
 
 
 def test_translation_covariance():
@@ -157,12 +158,13 @@ def test_translation_covariance():
     y = np.sort(rng.uniform(-1.0, 1.0, 30)).reshape(-1, 1)
     vals = np.sin(2.0 * y[:, 0])
     cfg = MwlsConfig(n_neighbors=12, poly_order=4)
-    jet0 = mwls.derivative_jet(y, vals, np.array([0.1]), cfg)
+    v0, g0, l0 = mwls.JetOperator(y, cfg, targets=[[0.1]]).apply(vals)
     shift = 17.25
-    jet1 = mwls.derivative_jet(y + shift, vals, np.array([0.1 + shift]), cfg)
-    assert jet1.value == pytest.approx(jet0.value, rel=1e-9)
-    assert jet1.gradient[0] == pytest.approx(jet0.gradient[0], rel=1e-9)
-    assert jet1.laplacian == pytest.approx(jet0.laplacian, rel=1e-7)
+    v1, g1, l1 = mwls.JetOperator(y + shift, cfg,
+                                  targets=[[0.1 + shift]]).apply(vals)
+    assert v1[0] == pytest.approx(v0[0], rel=1e-9)
+    assert g1[0, 0] == pytest.approx(g0[0, 0], rel=1e-9)
+    assert l1[0] == pytest.approx(l0[0], rel=1e-7)
 
 
 def test_exponential_accuracy():
@@ -170,10 +172,11 @@ def test_exponential_accuracy():
     y = np.linspace(-0.5, 0.5, 101).reshape(-1, 1)
     vals = np.exp(y[:, 0])
     cfg = MwlsConfig(n_neighbors=12, poly_order=5)
-    jet = mwls.derivative_jet(y, vals, np.array([0.0]), cfg)
-    assert jet.value == pytest.approx(1.0, abs=1e-12)
-    assert jet.gradient[0] == pytest.approx(1.0, abs=1e-10)
-    assert jet.laplacian == pytest.approx(1.0, abs=1e-8)
+    (value,), (grad,), (lap,) = mwls.JetOperator(
+        y, cfg, targets=[[0.0]]).apply(vals)
+    assert value == pytest.approx(1.0, abs=1e-12)
+    assert grad[0] == pytest.approx(1.0, abs=1e-10)
+    assert lap == pytest.approx(1.0, abs=1e-8)
 
 
 def test_determinism():
@@ -198,18 +201,18 @@ def test_operator_matches_pointwise_fit():
     op = mwls.JetOperator(y, cfg)
     v, g, l = op.apply(vals)
     for i in (0, 13, 39):
-        jet = mwls.derivative_jet(y, vals, y[i], cfg)
-        assert v[i] == pytest.approx(jet.value, rel=1e-10, abs=1e-12)
-        assert g[i, 0] == pytest.approx(jet.gradient[0], rel=1e-8,
-                                        abs=1e-10)
-        assert l[i] == pytest.approx(jet.laplacian, rel=1e-7, abs=1e-8)
+        (value,), (grad,), (lap,) = mwls.JetOperator(
+            y, cfg, targets=y[i:i + 1]).apply(vals)
+        assert v[i] == pytest.approx(value, rel=1e-10, abs=1e-12)
+        assert g[i, 0] == pytest.approx(grad[0], rel=1e-8, abs=1e-10)
+        assert l[i] == pytest.approx(lap, rel=1e-7, abs=1e-8)
 
 
 def test_too_few_points():
     y = np.linspace(0.0, 1.0, 5).reshape(-1, 1)
     cfg = MwlsConfig(n_neighbors=12, poly_order=2)
     with pytest.raises(TooFewPoints):
-        mwls.derivative_jet(y, np.zeros(5), np.array([0.5]), cfg)
+        mwls.JetOperator(y, cfg, targets=[[0.5]])
 
 
 def test_ill_conditioned_geometry():
@@ -217,7 +220,7 @@ def test_ill_conditioned_geometry():
     y = np.zeros((12, 1))
     cfg = MwlsConfig(n_neighbors=12, poly_order=3, weight_width=1.0)
     with pytest.raises(IllConditioned):
-        mwls.derivative_jet(y, np.zeros(12), np.array([0.0]), cfg)
+        mwls.JetOperator(y, cfg, targets=[[0.0]])
 
 
 def test_ill_conditioned_message_carries_the_estimate():
@@ -234,6 +237,5 @@ def test_ill_conditioned_message_carries_the_estimate():
 def test_condition_estimate_reported():
     y = np.linspace(-1.0, 1.0, 20).reshape(-1, 1)
     cfg = MwlsConfig(n_neighbors=10, poly_order=3)
-    jet = mwls.derivative_jet(y, y[:, 0] ** 2, np.array([0.0]), cfg)
-    assert jet.condition_estimate >= 1.0
-    assert jet.condition_estimate < mwls.CONDITION_LIMIT
+    (cond,) = mwls.JetOperator(y, cfg, targets=[[0.0]]).condition_estimates
+    assert 1.0 <= cond < mwls.CONDITION_LIMIT
