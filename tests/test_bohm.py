@@ -209,9 +209,21 @@ def test_family_truncates_on_node_incursion():
     (ok_traj, ok_inc), (cut_traj, cut_inc) = results
     assert ok_inc is None or ok_inc > cut_inc
     assert cut_traj.stop_reason == "incursion"
-    assert cut_inc is not None and 0.0 <= cut_inc <= 2.0
+    assert cut_inc is not None
     assert len(cut_traj.times) < 41
     assert cut_traj.positions[-1, 0] < 1.5
+
+
+def test_integrate_trajectory_reports_incursion_time():
+    g = UniformGrid(-2.0, 2.0, 41)
+    mask = np.zeros(41, dtype=bool)
+    mask[35:] = True
+    vf = _synthetic_vf(g, lambda y: np.ones_like(y), mask=mask)
+    provider = _FrozenProvider(vf, dt=0.05, n_steps=40)
+    [(traj, incursion_t)], _ = bohm.integrate_family(provider, [(1.2,)])
+    assert traj.stop_reason == "incursion"
+    assert incursion_t is not None
+    assert 0.0 <= incursion_t <= 2.0
 
 
 def test_family_truncates_a_trajectory_that_leaves_the_grid():
