@@ -10,13 +10,12 @@ against the exact oracle.
 
 from .core import (ComplexField, MwlsConfig, ScenarioConfig, UniformGrid,
                    WavePacketParams, norm)
-from .errors import (ConfigError, GridTooSmall, IllConditioned,
-                     MaskedRegion, NodeError, OutsideGrid, SlitsimError,
-                     TooFewPoints)
+from .errors import (ConfigError, GridTooSmall, IllConditioned, NodeError,
+                     OutsideGrid, SlitsimError, TooFewPoints)
 
 __all__ = [
     "ComplexField", "MwlsConfig", "ScenarioConfig", "UniformGrid",
     "WavePacketParams", "norm",
-    "ConfigError", "GridTooSmall", "IllConditioned", "MaskedRegion",
-    "NodeError", "OutsideGrid", "SlitsimError", "TooFewPoints",
+    "ConfigError", "GridTooSmall", "IllConditioned", "NodeError",
+    "OutsideGrid", "SlitsimError", "TooFewPoints",
 ]

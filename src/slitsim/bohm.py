@@ -21,7 +21,7 @@ import numpy as np
 from . import fd_solver
 from .analytic import Trajectory, _stack
 from .core import EPS_NODE
-from .errors import MaskedRegion, OutsideGrid
+from .errors import OutsideGrid
 
 
 @dataclass(frozen=True)
@@ -79,22 +79,21 @@ def _interp_1d_line(values, mask, grid, x):
 
     Uses the 4 nearest grid points; if the nominal stencil is majority
     masked, or fewer than 4 unmasked points exist among the 6 nearest,
-    raises MaskedRegion. A minority of masked points is replaced by the
-    nearest unmasked ones.
+    returns NaN. A minority of masked points is replaced by the nearest
+    unmasked ones.
     """
     base = _stencil_base(grid, x)
     idx = np.arange(base, base + 4)
     masked = mask[idx]
     if masked.sum() >= 3:
-        raise MaskedRegion(f"interpolation stencil majority-masked at {x:.4g}")
+        return np.nan
     if masked.any():
         lo = max(base - 1, 0)
         hi = min(base + 5, grid.n)
         window = np.arange(lo, hi)
         window = window[~mask[window]]
         if len(window) < 4:
-            raise MaskedRegion(
-                f"fewer than 4 unmasked points near {x:.4g}")
+            return np.nan
         coords = grid.lo + window * grid.delta
         order = np.argsort(np.abs(coords - x), kind="stable")[:4]
         idx = np.sort(window[order])
@@ -112,7 +111,8 @@ def _interp_masked(vf, pt):
     """Velocity at one point whose stencil touches a masked grid point.
 
     The minority-masked fallback of _interp_1d_line, row by row in 2D;
-    raises MaskedRegion where the stencil is majority-masked.
+    NaN where the stencil is majority-masked (a NaN row value carries
+    through the column pass).
     """
     grid = vf.grid
     if grid.dim == 1:
@@ -125,7 +125,7 @@ def _interp_masked(vf, pt):
     base1 = _stencil_base(grid, y1)
     rows = np.arange(base1, base1 + 4)
     if vf.mask[rows].all(axis=1).sum() >= 3:
-        raise MaskedRegion(f"interpolation stencil majority-masked at {pt}")
+        return np.full(2, np.nan)
     w1 = _lagrange_weights(grid.lo + rows * grid.delta, y1)
     out = np.empty(2)
     for c, comp in enumerate(vf.components):
@@ -171,10 +171,7 @@ def interpolate_velocity(vf, points):
 
     touched = vf.mask[block].reshape(len(pts), -1).any(axis=1)
     for i in np.flatnonzero(touched):
-        try:
-            out[i] = _interp_masked(vf, pts[i])
-        except MaskedRegion:
-            out[i] = np.nan
+        out[i] = _interp_masked(vf, pts[i])
     return out
 
 

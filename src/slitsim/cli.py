@@ -36,26 +36,33 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _write_csv(path, header, rows):
+def _fmt_column(values):
+    """_fmt of each value of a float array, in C order."""
+    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def _write_csv(path, header, columns):
+    """Write equal-length columns of strings under a header row."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([c if isinstance(c, str) else _fmt(c)
-                             for c in row])
+        writer.writerows(zip(*columns))
 
 
-def _snapshot_rows_1d(t, fld):
-    y = fld.grid.axis()
-    for i in range(fld.grid.n):
-        yield (t, y[i], fld.re[i], fld.im[i])
+def _extend_columns(columns, parts):
+    for col, part in zip(columns, parts):
+        col.extend(part)
 
 
-def _snapshot_rows_2d(t, fld):
-    y = fld.grid.axis()
-    for i in range(fld.grid.n):
-        for j in range(fld.grid.n):
-            yield (t, y[i], y[j], fld.re[i, j], fld.im[i, j])
+def _snapshot_columns(t, fld, axis):
+    """Columns (t, y[, y2], re, im) of one FD snapshot, rows in C order;
+    axis is the grid axis, already formatted."""
+    coords = [axis]
+    if fld.grid.dim == 2:
+        n = fld.grid.n
+        coords = [[y for y in axis for _ in range(n)], axis * n]
+    return ([[_fmt(t)] * fld.re.size] + coords
+            + [_fmt_column(fld.re), _fmt_column(fld.im)])
 
 
 def _field_errors(fld, exact_field, t):
@@ -103,20 +110,19 @@ def run_fd(spec, out_dir):
         provider, cfg.trajectory_starts, snapshot_indices=snap_idx)
 
     files = []
-    rows = []
+    header = (("t", "y", "re", "im") if cfg.grid.dim == 1
+              else ("t", "y1", "y2", "re", "im"))
+    columns = [[] for _ in header]
+    axis = _fmt_column(cfg.grid.axis())
     field_errors = {}
     for k in snap_idx:
         t = k * cfg.dt
         fld = fields[k]
-        gen = (_snapshot_rows_1d if cfg.grid.dim == 1
-               else _snapshot_rows_2d)
-        rows.extend(gen(t, fld))
+        _extend_columns(columns, _snapshot_columns(t, fld, axis))
         emax, erms = _field_errors(fld, exact_field, t)
         field_errors[f"t={t:.6g}"] = {"max": emax, "rms": erms}
-    header = (("t", "y", "re", "im") if cfg.grid.dim == 1
-              else ("t", "y1", "y2", "re", "im"))
     path = os.path.join(out_dir, "fields.csv")
-    _write_csv(path, header, rows)
+    _write_csv(path, header, columns)
     files.append("fields.csv")
 
     final = fields[cfg.n_steps]
@@ -133,14 +139,16 @@ def run_fd(spec, out_dir):
         exact = dict(zip(complete, exact_trajectory(
             exact_field, [cfg.trajectory_starts[j] for j in complete],
             lattice)))
-    traj_rows = []
+    dim = cfg.grid.dim
+    traj_columns = [[] for _ in range(2 + 2 * dim)]
     traj_summary = []
     for j, (traj, incursion) in enumerate(results):
         ex = exact[j] if j in exact else exact_trajectory(
             exact_field, [cfg.trajectory_starts[j]], traj.times)[0]
-        for i, t in enumerate(traj.times):
-            traj_rows.append((j,) + (t,) + tuple(traj.positions[i])
-                             + tuple(ex.positions[i]))
+        _extend_columns(traj_columns, (
+            [[str(j)] * len(traj.times), _fmt_column(traj.times)]
+            + [_fmt_column(traj.positions[:, d]) for d in range(dim)]
+            + [_fmt_column(ex.positions[:, d]) for d in range(dim)]))
         entry = {"start": list(cfg.trajectory_starts[j]),
                  "incursion_time": incursion,
                  "left_grid_time": (float(traj.times[-1])
@@ -150,13 +158,11 @@ def run_fd(spec, out_dir):
         entry.update(_flagged_deviation(traj, ex, exact_field))
         traj_summary.append(entry)
     if results:
-        dim = cfg.grid.dim
         cols = (("y",) if dim == 1 else ("y1", "y2"))
         header = ("trajectory", "t") + cols + tuple(f"{c}_exact"
                                                     for c in cols)
         path = os.path.join(out_dir, "trajectories.csv")
-        _write_csv(path, [str(h) for h in header],
-                   [(str(r[0]),) + r[1:] for r in traj_rows])
+        _write_csv(path, header, traj_columns)
         files.append("trajectories.csv")
 
     crossings = None
@@ -182,14 +188,17 @@ def run_hydro(spec, out_dir):
     exact_field = field_for(cfg.packet, cfg.field_kind)
     snapshots, diags = hydro_solver.propagate_hydro(cfg)
 
-    rows = []
+    columns = [[] for _ in range(7)]
     for d in diags:
-        for i in range(len(d.y)):
-            rows.append((d.t, d.y[i], d.v_num[i], d.v_exact[i],
-                         d.q_num[i], d.q_exact[i], d.status))
+        n = len(d.y)
+        _extend_columns(columns, (
+            [[_fmt(d.t)] * n]
+            + [_fmt_column(a) for a in (d.y, d.v_num, d.v_exact, d.q_num,
+                                        d.q_exact)]
+            + [[d.status] * n]))
     path = os.path.join(out_dir, "diagnostics.csv")
     _write_csv(path, ("t", "y", "v_num", "v_exact", "Q_num", "Q_exact",
-                      "status"), rows)
+                      "status"), columns)
 
     status = "Degraded" if any(d.status == "Degraded" for d in diags) \
         else "Valid"
@@ -200,13 +209,13 @@ def run_hydro(spec, out_dir):
     }
     # Lagrangian point paths are the Bohmian trajectories
     if cfg.solver == "hydro_lagrange":
-        traj_rows = []
+        traj_columns = [[] for _ in range(3)]
+        point = [str(i) for i in range(len(diags[0].y))]
         for d in diags:
-            for i in range(len(d.y)):
-                traj_rows.append((i, d.t, d.y[i]))
+            _extend_columns(traj_columns, (
+                point, [_fmt(d.t)] * len(d.y), _fmt_column(d.y)))
         _write_csv(os.path.join(out_dir, "trajectories.csv"),
-                   ("point", "t", "y"),
-                   [(str(r[0]),) + r[1:] for r in traj_rows])
+                   ("point", "t", "y"), traj_columns)
         return status, errors, ["diagnostics.csv", "trajectories.csv"]
     return status, errors, ["diagnostics.csv"]
 
@@ -238,8 +247,8 @@ def run_qp_study(spec, out_dir):
             "max_error_far_rel": float(err[far].max() / scale),
         }
 
-    rows = zip(*columns)
-    _write_csv(os.path.join(out_dir, "quantum_potential.csv"), names, rows)
+    _write_csv(os.path.join(out_dir, "quantum_potential.csv"), names,
+               [_fmt_column(c) for c in columns])
     return "Valid", {"orders": summary}, ["quantum_potential.csv"]
 
 
@@ -319,15 +328,20 @@ def run(config_path, out_root=None):
 def compare(manifest_path):
     """Per-snapshot / per-trajectory error report against the exact oracle."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    spec = spec_from_dict(manifest["config"])
-    cfg = spec.config
+        try:
+            manifest = json.load(fh)
+            cfg = spec_from_dict(manifest["config"]).config
+            status, errors = manifest["status"], manifest["errors"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise SlitsimError(
+                f"{manifest_path} is not a run manifest "
+                f"({type(exc).__name__}: {exc})") from exc
     out_dir = os.path.dirname(os.path.abspath(manifest_path))
     exact_field = field_for(cfg.packet, cfg.field_kind)
 
     report_rows = []
     lines = [f"scenario: {cfg.scenario or '(unnamed)'}",
-             f"solver: {cfg.solver}", f"status: {manifest['status']}"]
+             f"solver: {cfg.solver}", f"status: {status}"]
 
     fields_path = os.path.join(out_dir, "fields.csv")
     if os.path.exists(fields_path):
@@ -340,19 +354,20 @@ def compare(manifest_path):
                 psi_exact = exact_field.psi(sel["y1"], sel["y2"], t)
             err = np.abs(sel["re"] + 1j * sel["im"] - psi_exact)
             emax, erms = float(err.max()), float(np.sqrt(np.mean(err ** 2)))
-            report_rows.append((f"field_t={t:.6g}", emax, erms))
+            report_rows.append((f"field_t={t:.6g}", _fmt(emax),
+                                _fmt(erms)))
             lines.append(f"field t={t:.6g}: max |dpsi| = {emax:.3e}, "
                          f"rms = {erms:.3e}")
 
-    traj_summary = manifest["errors"].get("trajectories") or []
+    traj_summary = errors.get("trajectories") or []
     for j, entry in enumerate(traj_summary):
         if entry["max_deviation"] is None:
             report_rows.append((f"trajectory_{j}", "", ""))
             lines.append(f"trajectory {j} from {entry['start']}: not run "
                          "(masked at t=0)")
             continue
-        report_rows.append((f"trajectory_{j}", entry["max_deviation"],
-                            entry["max_deviation_off_node"]))
+        report_rows.append((f"trajectory_{j}", _fmt(entry["max_deviation"]),
+                            _fmt(entry["max_deviation_off_node"])))
         line = (f"trajectory {j} from {entry['start']}: max dev "
                 f"{entry['max_deviation']:.3e} "
                 f"(off-node {entry['max_deviation_off_node']:.3e})")
@@ -365,16 +380,16 @@ def compare(manifest_path):
                     line += f", {key} = {entry[key]:.6g}"
         lines.append(line)
 
-    for d in manifest["errors"].get("snapshots", []):
-        report_rows.append((f"hydro_t={d['t']:.6g}", d["max_v_error"],
-                            d["max_q_error"]))
+    for d in errors.get("snapshots", []):
+        report_rows.append((f"hydro_t={d['t']:.6g}", _fmt(d["max_v_error"]),
+                            _fmt(d["max_q_error"])))
         lines.append(f"hydro t={d['t']:.6g}: max |dv| = "
                      f"{d['max_v_error']:.3e}, max |dQ| = "
                      f"{d['max_q_error']:.3e} [{d['status']}]")
 
     _write_csv(os.path.join(out_dir, "errors.csv"),
                ("quantity", "max_error", "secondary"),
-               [(str(r[0]), r[1], r[2]) for r in report_rows])
+               list(zip(*report_rows)))
     report = "\n".join(lines) + "\n"
     with open(os.path.join(out_dir, "report.txt"), "w",
               encoding="utf-8") as fh:

@@ -23,10 +23,6 @@ class IllConditioned(SlitsimError):
     """Normal-equation matrix too ill-conditioned for a trustworthy fit."""
 
 
-class MaskedRegion(SlitsimError):
-    """Interpolation stencil dominated by near-node (masked) grid points."""
-
-
 class OutsideGrid(SlitsimError, ValueError):
     """Point outside the grid, e.g. a trajectory that left the domain."""
 

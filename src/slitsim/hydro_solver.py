@@ -220,6 +220,8 @@ def propagate_hydro(config, points=None):
             diag = diagnose(ensemble, field, config.mwls)
             diagnostics.append(replace(diag, status=DEGRADED))
             break
+        # the lattice time k*dt, as on the FD path: summing dt drifts
+        ensemble = replace(ensemble, t=k * dt)
         if k in wanted:
             snapshots.append(ensemble)
             diagnostics.append(diagnose(ensemble, field, config.mwls))

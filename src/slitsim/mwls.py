@@ -49,6 +49,27 @@ def monomial_exponents(dim, order):
     return tuple(out)
 
 
+def _monomial_basis(scaled, exponents):
+    """basis[n, k, s]: monomial s of the offsets scaled[n, k] (shape
+    (n_targets, n_neighbors, dim)), exponents from monomial_exponents.
+
+    Per-axis powers come from one table filled by repeated products,
+    powers[d, n, k, p] = scaled[n, k, d] ** p, and each monomial is the
+    product of its per-axis powers in axis order.
+    """
+    exps = np.asarray(exponents)                              # (m, dim)
+    order = int(exps.max())
+    axes = np.moveaxis(scaled, 2, 0)                          # (dim, n, k)
+    powers = np.empty(axes.shape + (order + 1,))
+    powers[..., 0] = 1.0
+    for p in range(1, order + 1):
+        powers[..., p] = powers[..., p - 1] * axes
+    basis = powers[0][..., exps[:, 0]]
+    for d in range(1, exps.shape[1]):
+        basis *= powers[d][..., exps[:, d]]
+    return basis
+
+
 def _neighbor_sigma(d2, width):
     """Per-neighbor standard errors sigma_n = exp(|r_n - r0|^2 / (2 width^2)).
 
@@ -141,11 +162,10 @@ class JetOperator:
         h = np.sqrt(d2).mean(axis=1)
         h[h == 0.0] = 1.0
         scaled = offsets / h[:, None, None]
-        basis = np.stack(
-            [np.prod(scaled ** np.asarray(e, dtype=float), axis=2)
-             for e in exponents], axis=2)                    # (nt, nb, m)
+        basis = _monomial_basis(scaled, exponents)           # (nt, nb, m)
         a_mat = basis / sigma[:, :, None]
-        gram = np.einsum("nks,nkt->nst", a_mat, a_mat)
+        a_t = np.transpose(a_mat, (0, 2, 1))
+        gram = np.matmul(a_t, a_mat)
 
         evals = np.linalg.eigvalsh(gram)
         with np.errstate(divide="ignore"):
@@ -160,8 +180,7 @@ class JetOperator:
                 f"{int(np.sum(cond > CONDITION_LIMIT))} point(s)")
 
         # solve_map[n, s, k]: scaled coefficient s from neighbor value k
-        at_over_sigma = np.transpose(a_mat, (0, 2, 1)) / sigma[:, None, :]
-        solve_map = np.linalg.solve(gram, at_over_sigma)
+        solve_map = np.linalg.solve(gram, a_t / sigma[:, None, :])
 
         degrees = np.array([sum(e) for e in exponents], dtype=float)
         unscale = h[:, None] ** -degrees[None, :]

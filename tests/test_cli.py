@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from slitsim import cli, fd_solver
 from slitsim.config import (RunSpec, load_config, parse_config,
                             spec_from_dict, spec_to_dict)
-from slitsim.core import (MIN_POINTS, SOLVERS, MwlsConfig, ScenarioConfig,
-                          UniformGrid, WavePacketParams)
+from slitsim.core import (MIN_POINTS, SOLVERS, ComplexField, MwlsConfig,
+                          ScenarioConfig, UniformGrid, WavePacketParams)
 from slitsim.errors import ConfigError
 
 FD_CFG = """\
@@ -204,6 +204,22 @@ def test_run_fd_end_to_end(tmp_path):
     data = np.genfromtxt(os.path.join(run_dir, "fields.csv"),
                          delimiter=",", names=True)
     assert data["t"].min() == 0.0 and data["t"].max() == 0.05
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_snapshot_columns_match_row_by_row_formatting(dim):
+    # the row loop the column writer replaced: repr(float(x)) per cell,
+    # rows over the grid in C order
+    grid = UniformGrid(-1.0, 1.0, MIN_POINTS, dim=dim)
+    rng = np.random.default_rng(dim)
+    fld = ComplexField(grid, rng.normal(size=grid.shape),
+                       rng.normal(size=grid.shape))
+    y = grid.axis()
+    rows = [tuple(repr(float(c)) for c in
+                  (0.25, *y[list(i)], fld.re[i], fld.im[i]))
+            for i in np.ndindex(grid.shape)]
+    columns = cli._snapshot_columns(0.25, fld, cli._fmt_column(y))
+    assert list(zip(*columns)) == rows
 
 
 def test_run_reproducible(tmp_path):
@@ -402,6 +418,15 @@ def test_compare_missing_manifest_is_an_error(tmp_path, capsys):
     assert cli.main(["compare", missing]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "manifest.json" in err
+
+
+@pytest.mark.parametrize("text", ["not json", '{"config": {}}', "[]"],
+                         ids=["not_json", "no_packet", "list"])
+def test_compare_unreadable_manifest_is_an_error(tmp_path, capsys, text):
+    path = _write(tmp_path, "manifest.json", text)
+    assert cli.main(["compare", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not a run manifest" in err
 
 
 def test_masked_and_truncated_starts_are_reported(tmp_path, capsys):

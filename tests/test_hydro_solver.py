@@ -154,6 +154,18 @@ def test_slits_only_demonstration(packet_field):
     assert np.abs(upper - exact).max() < 1e-4
 
 
+@pytest.mark.parametrize("solver", ["hydro_lagrange", "hydro_euler"])
+def test_snapshot_times_are_lattice_times(solver):
+    # t = k*dt exactly, as on the FD path; summing dt drifts in the last bits
+    cfg = _scenario(solver=solver, grid=UniformGrid(-1.0, 3.0, 101),
+                    field_kind="single_packet", t_final=3e-4, n_steps=30,
+                    snapshot_times=(0.0, 1e-4, 2e-4))
+    snaps, diags = hydro_solver.propagate_hydro(cfg)
+    want = [k * cfg.dt for k in cfg.snapshot_indices]
+    assert [s.t for s in snaps] == want
+    assert [d.t for d in diags] == want
+
+
 def test_propagate_rejects_wrong_solver():
     cfg = _scenario(solver="schrodinger_fd")
     with pytest.raises(ValueError):

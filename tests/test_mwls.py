@@ -97,6 +97,59 @@ def test_build_memory_is_linear_in_points():
     assert peak < 6 * 2 ** 20
 
 
+@st.composite
+def _polynomial_clouds(draw):
+    """Jittered lattice points (1D, or a 2D cloud), interior targets and
+    the coefficients c[i, j] of x^i y^j for a random polynomial of total
+    degree `order` (c has one column in 1D)."""
+    dim = draw(st.sampled_from([1, 2]))
+    order = draw(st.integers(2, 5))
+    jitter = draw(st.floats(0.0, 0.45))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if dim == 1:
+        axis = np.linspace(-1.0, 1.0, 4 * (order + 1))
+        pts = axis[:, None]
+        nb = 2 * (order + 1)
+        coeff = rng.uniform(-1.0, 1.0, (order + 1, 1))
+    else:
+        axis = np.linspace(-1.0, 1.0, 12)
+        pts = np.stack(np.meshgrid(axis, axis, indexing="ij"),
+                       axis=-1).reshape(-1, 2)
+        nb = (order + 1) * (order + 2)
+        i, j = np.indices((order + 1, order + 1))
+        coeff = np.where(i + j <= order,
+                         rng.uniform(-1.0, 1.0, (order + 1, order + 1)), 0.0)
+    pts = pts + rng.uniform(-jitter, jitter, pts.shape) * (axis[1] - axis[0])
+    targets = rng.uniform(-0.5, 0.5, (5, dim))
+    return pts, targets, coeff, MwlsConfig(n_neighbors=nb, poly_order=order)
+
+
+def _polynomial_jets(coeff, pts):
+    """Value, gradient and Laplacian of sum c[i, j] x^i y^j at pts."""
+    poly = np.polynomial.polynomial
+    dim = pts.shape[1]
+    x = pts[:, 0]
+    y = pts[:, 1] if dim == 2 else np.zeros_like(x)
+    value = poly.polyval2d(x, y, coeff)
+    grad = np.stack([poly.polyval2d(x, y, poly.polyder(coeff, axis=a))
+                     for a in range(dim)], axis=1)
+    lap = sum(poly.polyval2d(x, y, poly.polyder(coeff, 2, axis=a))
+              for a in range(dim))
+    return value, grad, lap
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_polynomial_clouds())
+def test_jets_reproduce_polynomials_of_the_fit_order(case):
+    # a fit of total degree `order` is exact on such a polynomial; the
+    # mixed x^i y^j terms catch a basis that pairs per-axis powers wrongly
+    pts, targets, coeff, cfg = case
+    op = mwls.JetOperator(pts, cfg, targets=targets)
+    got = op.apply(_polynomial_jets(coeff, pts)[0])
+    for g, want in zip(got, _polynomial_jets(coeff, targets)):
+        assert np.abs(g - want).max() <= 1e-8 * np.abs(want).max()
+
+
 def test_gaussian_weight_ratio():
     # inverse weights sigma_n = exp(+d^2 / (2 w^2)), d^2 = 0 and 3
     sigma = mwls._neighbor_sigma(np.array([[0.0, 3.0]]), 1.0)
