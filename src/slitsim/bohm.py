@@ -7,7 +7,9 @@ EPS_NODE times the instantaneous peak are masked as undefined. Off-grid
 values come from local cubic interpolation, and trajectories are RK4 with
 the velocity linearly interpolated in time between adjacent field steps.
 A family of trajectories is integrated as one stack: each RK4 stage is
-one interpolation call per field over every live trajectory.
+one interpolation call over every live trajectory, and the midpoint
+stages, which read the fields at both ends of the time step, set up the
+stencils once for the pair.
 
 A trajectory that runs into a masked (near-node) region stops with the
 time of incursion instead of continuing on extrapolated velocities; one
@@ -145,9 +147,13 @@ def interpolate_velocity(vf, points):
 
     points is a stack of shape (m, dim); the result has shape (m, dim),
     with a NaN row for each point whose stencil is majority-masked.
-    Points outside the grid raise OutsideGrid.
+    Points outside the grid raise OutsideGrid. vf may also be a tuple of
+    VelocityFields on one grid: the stencils and weights are then set up
+    once, and the result is a tuple with one array per field.
     """
-    grid = vf.grid
+    single = isinstance(vf, VelocityField)
+    fields = (vf,) if single else vf
+    grid = fields[0].grid
     pts = _stack(points, grid.dim)
     inside = _inside(grid, pts)
     if not inside.all():
@@ -162,17 +168,20 @@ def interpolate_velocity(vf, points):
          for a, i in enumerate(idx)]
     block = (idx[0],) if grid.dim == 1 else (idx[0][:, :, None],
                                               idx[1][:, None, :])
-    out = np.empty(pts.shape)
-    for c, comp in enumerate(vf.components):
-        vals = comp[block]
-        if grid.dim == 2:
-            vals = _lagrange_eval(w[1][:, None, :], vals)
-        out[:, c] = _lagrange_eval(w[0], vals)
+    outs = []
+    for fld in fields:
+        out = np.empty(pts.shape)
+        for c, comp in enumerate(fld.components):
+            vals = comp[block]
+            if grid.dim == 2:
+                vals = _lagrange_eval(w[1][:, None, :], vals)
+            out[:, c] = _lagrange_eval(w[0], vals)
 
-    touched = vf.mask[block].reshape(len(pts), -1).any(axis=1)
-    for i in np.flatnonzero(touched):
-        out[i] = _interp_masked(vf, pts[i])
-    return out
+        touched = fld.mask[block].reshape(len(pts), -1).any(axis=1)
+        for i in np.flatnonzero(touched):
+            out[i] = _interp_masked(fld, pts[i])
+        outs.append(out)
+    return outs[0] if single else tuple(outs)
 
 
 class FdFieldProvider:
@@ -216,9 +225,10 @@ class FdFieldProvider:
 def _rk4_stack(r, dt, va, vb):
     """One RK4 step for a stack of points, velocity linear in time.
 
-    Each stage makes one interpolate_velocity call per field over the
-    points still live. A point whose stencil is majority-masked, or that
-    lies outside the grid, at any stage drops out of the later stages.
+    Each stage makes one interpolate_velocity call over the points still
+    live, for one field or for the pair at the midpoint stages. A point
+    whose stencil is majority-masked, or that lies outside the grid, at
+    any stage drops out of the later stages.
     Returns (mask over r of the points that completed the step, mask over
     r of the points dropped for leaving the grid, their new positions).
     """
@@ -229,7 +239,7 @@ def _rk4_stack(r, dt, va, vb):
                       (0.5 * dt, (va, vb)), (dt, (vb,))):
         p = r if h is None else r + h * ks[-1]
         try:
-            v = interpolate_velocity(fields[0], p)
+            vs = interpolate_velocity(fields, p)
         except OutsideGrid:
             inside = _inside(va.grid, p)
             left[np.flatnonzero(live)[~inside]] = True
@@ -238,9 +248,8 @@ def _rk4_stack(r, dt, va, vb):
             ks = [kv[inside] for kv in ks]
             if not len(r):
                 return live, left, r
-            v = interpolate_velocity(fields[0], p)
-        if len(fields) == 2:
-            v = 0.5 * (v + interpolate_velocity(fields[1], p))
+            vs = interpolate_velocity(fields, p)
+        v = vs[0] if len(vs) == 1 else 0.5 * (vs[0] + vs[1])
         ok = ~np.isnan(v).any(axis=1)
         live[live] = ok
         r = r[ok]
@@ -257,7 +266,7 @@ def integrate_family(provider, starts, provenance="fd",
 
     RK4 with the velocity at substage times linearly interpolated between
     the two adjacent lattice velocity fields; each stage is one
-    interpolation call per field over every live trajectory.
+    interpolation call over every live trajectory.
 
     Returns (results, fields) where results is a list of
     (Trajectory, incursion_time_or_None) pairs and fields maps each

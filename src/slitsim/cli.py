@@ -325,6 +325,38 @@ def run(config_path, out_root=None):
     return manifest, (0 if status == "Valid" else 2)
 
 
+def _error_report(errors, n_steps):
+    """Report rows and lines for the errors block of a manifest."""
+    rows, lines = [], []
+    for j, entry in enumerate(errors.get("trajectories") or []):
+        if entry["max_deviation"] is None:
+            rows.append((f"trajectory_{j}", "", ""))
+            lines.append(f"trajectory {j} from {entry['start']}: not run "
+                         "(masked at t=0)")
+            continue
+        rows.append((f"trajectory_{j}", _fmt(entry["max_deviation"]),
+                     _fmt(entry["max_deviation_off_node"])))
+        line = (f"trajectory {j} from {entry['start']}: max dev "
+                f"{entry['max_deviation']:.3e} "
+                f"(off-node {entry['max_deviation_off_node']:.3e})")
+        steps = entry.get("steps_completed", n_steps)
+        if steps < n_steps:
+            line += (f"; truncated: steps_completed = {steps} of "
+                     f"{n_steps}")
+            for key in ("incursion_time", "left_grid_time"):
+                if entry.get(key) is not None:
+                    line += f", {key} = {entry[key]:.6g}"
+        lines.append(line)
+
+    for d in errors.get("snapshots", []):
+        rows.append((f"hydro_t={d['t']:.6g}", _fmt(d["max_v_error"]),
+                     _fmt(d["max_q_error"])))
+        lines.append(f"hydro t={d['t']:.6g}: max |dv| = "
+                     f"{d['max_v_error']:.3e}, max |dQ| = "
+                     f"{d['max_q_error']:.3e} [{d['status']}]")
+    return rows, lines
+
+
 def compare(manifest_path):
     """Per-snapshot / per-trajectory error report against the exact oracle."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
@@ -332,7 +364,8 @@ def compare(manifest_path):
             manifest = json.load(fh)
             cfg = spec_from_dict(manifest["config"]).config
             status, errors = manifest["status"], manifest["errors"]
-        except (ValueError, KeyError, TypeError) as exc:
+            error_rows, error_lines = _error_report(errors, cfg.n_steps)
+        except (AttributeError, ValueError, KeyError, TypeError) as exc:
             raise SlitsimError(
                 f"{manifest_path} is not a run manifest "
                 f"({type(exc).__name__}: {exc})") from exc
@@ -358,34 +391,8 @@ def compare(manifest_path):
                                 _fmt(erms)))
             lines.append(f"field t={t:.6g}: max |dpsi| = {emax:.3e}, "
                          f"rms = {erms:.3e}")
-
-    traj_summary = errors.get("trajectories") or []
-    for j, entry in enumerate(traj_summary):
-        if entry["max_deviation"] is None:
-            report_rows.append((f"trajectory_{j}", "", ""))
-            lines.append(f"trajectory {j} from {entry['start']}: not run "
-                         "(masked at t=0)")
-            continue
-        report_rows.append((f"trajectory_{j}", _fmt(entry["max_deviation"]),
-                            _fmt(entry["max_deviation_off_node"])))
-        line = (f"trajectory {j} from {entry['start']}: max dev "
-                f"{entry['max_deviation']:.3e} "
-                f"(off-node {entry['max_deviation_off_node']:.3e})")
-        steps = entry.get("steps_completed", cfg.n_steps)
-        if steps < cfg.n_steps:
-            line += (f"; truncated: steps_completed = {steps} of "
-                     f"{cfg.n_steps}")
-            for key in ("incursion_time", "left_grid_time"):
-                if entry.get(key) is not None:
-                    line += f", {key} = {entry[key]:.6g}"
-        lines.append(line)
-
-    for d in errors.get("snapshots", []):
-        report_rows.append((f"hydro_t={d['t']:.6g}", _fmt(d["max_v_error"]),
-                            _fmt(d["max_q_error"])))
-        lines.append(f"hydro t={d['t']:.6g}: max |dv| = "
-                     f"{d['max_v_error']:.3e}, max |dQ| = "
-                     f"{d['max_q_error']:.3e} [{d['status']}]")
+    report_rows += error_rows
+    lines += error_lines
 
     _write_csv(os.path.join(out_dir, "errors.csv"),
                ("quantity", "max_error", "secondary"),

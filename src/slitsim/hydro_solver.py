@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytic
-from .errors import IllConditioned, NodeError
+from .errors import IllConditioned
 from .mwls import JetOperator
 
 VALID = "Valid"
@@ -90,15 +90,15 @@ def quantum_potential(op, g):
     return -0.5 * (dg[:, 0] ** 2 + d2g), dg[:, 0]
 
 
-def lagrangian_step(ensemble, dt, mwls_config):
+def lagrangian_step(ensemble, dt, op):
     """One forward-Euler step on the moving grid.
 
-    The normal-equation matrix is rebuilt (and solved) at every point,
-    every step, because the point geometry moves.
+    op is the JetOperator of the current positions ensemble.y: the
+    normal-equation matrix is rebuilt (and solved) at every point, every
+    step, because the point geometry moves.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    op = JetOperator(ensemble.y, mwls_config)
     q, _ = quantum_potential(op, ensemble.g)
     _, dq, _ = op.apply(q)
     _, dv, _ = op.apply(ensemble.v)
@@ -150,13 +150,16 @@ def _exact_profiles(field, y, t):
     return v, q
 
 
-def diagnose(ensemble, field, mwls_config):
-    """Snapshot diagnostics comparing the ensemble to the exact field."""
-    try:
-        q_num, _ = quantum_potential(JetOperator(ensemble.y, mwls_config),
-                                     ensemble.g)
-    except IllConditioned:
+def diagnose(ensemble, field, op):
+    """Snapshot diagnostics comparing the ensemble to the exact field.
+
+    op is the JetOperator of ensemble.y, or None where it was too
+    ill-conditioned to build; the numerical Q is then NaN.
+    """
+    if op is None:
         q_num = np.full_like(ensemble.y, np.nan)
+    else:
+        q_num, _ = quantum_potential(op, ensemble.g)
     v_exact, q_exact = _exact_profiles(field, ensemble.y, ensemble.t)
     dv = np.abs(ensemble.v - v_exact)
     dq = np.abs(q_num - q_exact)
@@ -197,32 +200,45 @@ def propagate_hydro(config, points=None):
     dt = config.dt
 
     wanted = config.snapshot_indices
+    lagrange = config.solver == "hydro_lagrange"
 
-    grid_op = None
-    if config.solver == "hydro_euler":
-        grid_op = JetOperator(points, config.mwls)
+    def moving_operator(y):
+        """The operator at the moving points; None degrades the run."""
+        try:
+            return JetOperator(y, config.mwls)
+        except IllConditioned:
+            return None
+
+    # one operator per point layout, shared by the snapshot diagnostics
+    # and the next step: fixed in Euler's viewpoint, rebuilt after every
+    # step in Lagrange's
+    if lagrange:
+        op = moving_operator(ensemble.y)
+    else:
+        op = JetOperator(points, config.mwls)
 
     snapshots = []
     diagnostics = []
     if 0 in wanted:
         snapshots.append(ensemble)
-        diagnostics.append(diagnose(ensemble, field, config.mwls))
+        diagnostics.append(diagnose(ensemble, field, op))
 
     for k in range(1, config.n_steps + 1):
-        try:
-            if config.solver == "hydro_lagrange":
-                ensemble = lagrangian_step(ensemble, dt, config.mwls)
-            else:
-                ensemble = eulerian_step(ensemble, dt, grid_op)
-        except (IllConditioned, NodeError):
+        if op is None:
             ensemble = replace(ensemble, status=DEGRADED)
             snapshots.append(ensemble)
-            diag = diagnose(ensemble, field, config.mwls)
+            diag = diagnose(ensemble, field, None)
             diagnostics.append(replace(diag, status=DEGRADED))
             break
+        if lagrange:
+            ensemble = lagrangian_step(ensemble, dt, op)
+            del op      # freed before the next build: one alive at a time
+            op = moving_operator(ensemble.y)
+        else:
+            ensemble = eulerian_step(ensemble, dt, op)
         # the lattice time k*dt, as on the FD path: summing dt drifts
         ensemble = replace(ensemble, t=k * dt)
         if k in wanted:
             snapshots.append(ensemble)
-            diagnostics.append(diagnose(ensemble, field, config.mwls))
+            diagnostics.append(diagnose(ensemble, field, op))
     return snapshots, diagnostics

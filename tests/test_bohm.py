@@ -355,3 +355,52 @@ def test_interpolation_outside_grid_raises_for_a_stack():
         bohm.interpolate_velocity(vf, np.array([[0.1], [2.5]]))
     with pytest.raises(ValueError):
         bohm.interpolate_velocity(vf, np.array([[0.1], [np.nan]]))
+
+
+def test_interpolating_a_pair_equals_each_field_alone(monkeypatch):
+    # the two fields mask different points, so each takes the minority
+    # fallback (_interp_masked) at its own stencils
+    fallback_fields = []
+    fallback = bohm._interp_masked
+
+    def recording_fallback(vf, pt):
+        fallback_fields.append(vf)
+        return fallback(vf, pt)
+
+    monkeypatch.setattr(bohm, "_interp_masked", recording_fallback)
+
+    g1 = UniformGrid(-2.0, 2.0, 41)
+    mask_a = np.zeros(41, dtype=bool)
+    mask_a[20] = True
+    mask_b = np.zeros(41, dtype=bool)
+    mask_b[[8, 21]] = True
+    mask_b[30:36] = True
+    pair_1d = (_synthetic_vf(g1, np.sin, mask=mask_a),
+               _synthetic_vf(g1, np.cos, mask=mask_b))
+    xs = np.array([[-1.93], [-1.21], [0.03], [0.11], [1.22], [1.99]])
+
+    g2 = UniformGrid(-2.0, 2.0, 41, dim=2)
+    y1, y2 = g2.meshgrid()
+    mask_a = np.zeros(g2.shape, dtype=bool)
+    mask_a[20, 20] = True
+    mask_b = np.zeros(g2.shape, dtype=bool)
+    mask_b[21, 19] = True
+    mask_b[5:12, 5:12] = True
+    pair_2d = tuple(
+        bohm.VelocityField(grid=g2, t=0.0, components=comps, mask=mask)
+        for comps, mask in (((np.sin(y1) * np.cos(2 * y2), y1 * y2 ** 2),
+                             mask_a),
+                            ((y1 - y2 ** 3, np.cos(y1 * y2)), mask_b)))
+    pts = np.array([[0.37, -1.21], [0.03, 0.02], [0.13, -0.08],
+                    [-1.45, -1.45], [1.9, -1.95]])
+
+    for pair, p in ((pair_1d, xs), (pair_2d, pts)):
+        fallback_fields.clear()
+        out = bohm.interpolate_velocity(pair, p)
+        assert all(any(f is vf for f in fallback_fields) for vf in pair)
+        assert len(out) == 2
+        for vf, o in zip(pair, out):
+            assert np.array_equal(o, bohm.interpolate_velocity(vf, p),
+                                  equal_nan=True)
+    # the block masked only in the second field
+    assert np.isnan(out[1][3]).all() and not np.isnan(out[0][3]).any()

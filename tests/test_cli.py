@@ -420,8 +420,16 @@ def test_compare_missing_manifest_is_an_error(tmp_path, capsys):
     assert err.startswith("error: ") and "manifest.json" in err
 
 
-@pytest.mark.parametrize("text", ["not json", '{"config": {}}', "[]"],
-                         ids=["not_json", "no_packet", "list"])
+def _manifest_text(errors):
+    """A manifest of the tiny FD run with the given errors block."""
+    return json.dumps({"config": spec_to_dict(parse_config(FD_CFG)),
+                       "status": "Valid", "errors": errors})
+
+
+@pytest.mark.parametrize("text", [
+    "not json", '{"config": {}}', "[]", _manifest_text([]),
+    _manifest_text({"trajectories": [{"start": [0.8]}]}),
+], ids=["not_json", "no_packet", "list", "errors_list", "no_max_deviation"])
 def test_compare_unreadable_manifest_is_an_error(tmp_path, capsys, text):
     path = _write(tmp_path, "manifest.json", text)
     assert cli.main(["compare", path]) == 1

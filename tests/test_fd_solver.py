@@ -60,27 +60,64 @@ def test_spatial_convergence_order():
     assert order == pytest.approx(4.0, abs=0.2)
 
 
-def test_rk4_temporal_order():
-    # harmonic-oscillator toy y'' = -y via the same tableau
-    def endpoint_error(n_steps):
-        re, im = np.array([1.0]), np.array([0.0])
-        dt = 1.0 / n_steps
-        for _ in range(n_steps):
-            # i dpsi/dt = psi  ->  psi(t) = e^{-it} psi(0)
-            k = [None] * 4
-            s = (re, im)
-            def f(r, i):
-                return i, -r
-            k1 = f(*s)
-            k2 = f(re + 0.5 * dt * k1[0], im + 0.5 * dt * k1[1])
-            k3 = f(re + 0.5 * dt * k2[0], im + 0.5 * dt * k2[1])
-            k4 = f(re + dt * k3[0], im + dt * k3[1])
-            re = re + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            im = im + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        return abs(re[0] + 1j * im[0] - np.exp(-1j))
+def _packet_on(grid, sigma0=0.5):
+    """The exact two-slit field at t=0, one particle per grid axis."""
+    packet = WavePacketParams(sigma0=sigma0, particles=grid.dim)
+    return analytic.sample_field(analytic.field_for(packet), grid, 0.0)
 
-    order = np.log2(endpoint_error(32) / endpoint_error(64))
-    assert order == pytest.approx(4.0, abs=0.2)
+
+def _final(initial, t_final, n_steps):
+    *_, (_, fld) = fd_solver.iterate(initial, t_final / n_steps, n_steps)
+    return fld.to_complex()
+
+
+def test_rk4_temporal_order():
+    # the time error of iterate alone: each run against a 400-step run on
+    # the same grid, which shares its spatial error
+    for grid in (UniformGrid(-6.0, 6.0, 61),
+                 UniformGrid(-6.0, 6.0, 41, dim=2)):
+        initial = _packet_on(grid)
+        ref = _final(initial, 0.2, 400)
+        e10, e20 = (np.abs(_final(initial, 0.2, n) - ref).max()
+                    for n in (10, 20))
+        assert np.log2(e10 / e20) == pytest.approx(4.0, abs=0.2)
+
+
+def _classic_rk4(re, im, grid, dt, n_steps):
+    """Reference: the four-stage RK4 tableau on the stencil rhs."""
+    for _ in range(n_steps):
+        k1r, k1i = fd_solver.rhs(re, im, grid)
+        k2r, k2i = fd_solver.rhs(re + 0.5 * dt * k1r, im + 0.5 * dt * k1i,
+                                 grid)
+        k3r, k3i = fd_solver.rhs(re + 0.5 * dt * k2r, im + 0.5 * dt * k2i,
+                                 grid)
+        k4r, k4i = fd_solver.rhs(re + dt * k3r, im + dt * k3i, grid)
+        re = re + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        im = im + (dt / 6.0) * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
+    return re + 1j * im
+
+
+@pytest.mark.parametrize("grid, dt", [
+    (UniformGrid(-13.0, 13.0, 261), 2e-4),
+    (UniformGrid(-13.0, 13.0, 131, dim=2), 2.5e-4),
+], ids=["1d", "2d"])
+def test_iterate_matches_classic_rk4(grid, dt):
+    # the same polynomial in another evaluation order (1D: a prebuilt
+    # matrix; 2D: Horner on the stencils) agrees to rounding
+    initial = _packet_on(grid, sigma0=0.2)
+    ref = _classic_rk4(initial.re, initial.im, grid, dt, 200)
+    out = _final(initial, 200 * dt, 200)
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_step_matrices_do_not_depend_on_the_block_size():
+    # 261 = 8 * 32 + 5: the last block is short
+    g = UniformGrid(-13.0, 13.0, 261)
+    eye = np.eye(g.n)
+    whole = fd_solver._rk4_arrays(eye, np.zeros_like(eye), g, 2e-4)
+    for block in (32, 7, g.n):
+        p, q = fd_solver._step_matrices(g, 2e-4, block=block)
+        assert np.array_equal(p, whole[0]) and np.array_equal(q, whole[1])
 
 
 def test_rhs_split_form(one_field):

@@ -48,7 +48,7 @@ def test_force_free_fixed_point():
     y = np.linspace(-1.0, 1.0, 41)
     ens = hydro_solver.FluidEnsemble(y=y.copy(), v=np.zeros_like(y),
                                      g=0.3 * y + 1.0, t=0.0)
-    out = hydro_solver.lagrangian_step(ens, 1e-3, CFG12)
+    out = hydro_solver.lagrangian_step(ens, 1e-3, JetOperator(y, CFG12))
     assert np.allclose(out.y, y, atol=1e-12)
     assert np.allclose(out.v, 0.0, atol=1e-9)
     assert np.allclose(out.g, ens.g, atol=1e-9)
@@ -63,8 +63,9 @@ def test_lagrangian_bookkeeping():
     ens = hydro_solver.FluidEnsemble(y=y.copy(), v=v.copy(), g=g.copy(),
                                      t=0.0)
     dt = 1e-3
-    out = hydro_solver.lagrangian_step(ens, dt, CFG12)
-    _, dv, _ = JetOperator(y, CFG12).apply(v)
+    op = JetOperator(y, CFG12)
+    out = hydro_solver.lagrangian_step(ens, dt, op)
+    _, dv, _ = op.apply(v)
     assert np.allclose(out.g - g, -0.5 * dt * dv[:, 0], atol=1e-15)
     assert np.allclose(out.y - y, dt * v, atol=1e-15)
 
@@ -98,7 +99,7 @@ def test_crossing_flips_status_degraded():
     y = np.linspace(-1.0, 1.0, 41)
     ens = hydro_solver.FluidEnsemble(y=y.copy(), v=-10.0 * y,
                                      g=np.zeros_like(y), t=0.0)
-    out = hydro_solver.lagrangian_step(ens, 0.2, CFG12)
+    out = hydro_solver.lagrangian_step(ens, 0.2, JetOperator(y, CFG12))
     assert out.status == hydro_solver.DEGRADED
 
 
