@@ -260,6 +260,14 @@ set key autotitle columnhead
 plot 'fields.csv' using 2:3 with points title 'Re psi (numeric)'
 pause -1
 """,
+    "propagate_fd_2d": """\
+# gnuplot script: probability density over (y1, y2), numeric grid data
+set datafile separator ','
+set key autotitle columnhead
+splot 'fields.csv' using 2:3:($4**2+$5**2) \\
+      with points title '|psi|^2 (numeric)'
+pause -1
+""",
     "propagate_hydro": """\
 # gnuplot script: velocity and quantum potential vs the exact curves
 set datafile separator ','
@@ -283,7 +291,7 @@ def _plot_script(spec):
     if spec.mode == "qp_study":
         return _PLOT_TEMPLATES["qp_study"]
     if spec.config.solver == "schrodinger_fd":
-        return _PLOT_TEMPLATES["propagate_fd_1d"]
+        return _PLOT_TEMPLATES[f"propagate_fd_{spec.config.grid.dim}d"]
     return _PLOT_TEMPLATES["propagate_hydro"]
 
 

@@ -17,6 +17,22 @@ assembling the basis; this is an exact reparametrization of the same
 least-squares problem (coefficients are scaled back) that keeps the normal
 matrix well-conditioned at high polynomial order. The conditioning
 estimate is taken on the scaled system.
+
+The normal matrix G is symmetric positive definite, so one batched
+Cholesky factor G = L L^T serves both the solve (forward and back
+substitution, elementwise over all targets at once) and the condition
+check: cond2(G) <= tr(G) tr(G^-1) <= m^2 cond2(G) for m basis
+polynomials, and tr(G^-1) is the squared Frobenius norm of the solution
+with each neighbor column multiplied back by its sigma. A point whose
+bound is at most half of CONDITION_LIMIT is certified below the limit
+(the factor 2 covers rounding in the bound); any other point gets the
+exact eigenvalue ratio, so the IllConditioned decisions are those of
+the exact ratio at every point. JetOperator.condition_estimates holds
+the bound, or the exact ratio where one was taken. A point whose normal
+matrix has a non-finite entry gets the estimate inf without a call to
+LAPACK, so a non-finite point set is IllConditioned. See Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 10, for the
+Cholesky factorization and its stability.
 """
 
 from functools import lru_cache
@@ -128,6 +144,71 @@ def _nearest(pts, tgt, nb):
     return idx
 
 
+def _condition_ratio(gram):
+    """Exact 2-norm condition lambda_max / lambda_min of each symmetric
+    matrix in the stack, inf where lambda_min <= 0."""
+    evals = np.linalg.eigvalsh(gram)
+    with np.errstate(divide="ignore"):
+        return np.where(evals[:, 0] > 0,
+                        evals[:, -1] / np.maximum(evals[:, 0], 1e-300),
+                        np.inf)
+
+
+def _cholesky_solve(gram, rhs):
+    """gram^-1 rhs for a stack of SPD gram (nt, m, m), targets last.
+
+    rhs and the result have shape (m, k, nt). One batched Cholesky factor
+    gram = L L^T, then forward and back substitution as elementwise
+    updates over all targets at once; in the targets-last layout each
+    update is one contiguous x[i] -= L[i, j] * x[j]. Raises LinAlgError
+    where a matrix is not positive definite.
+    """
+    low = np.linalg.cholesky(gram).transpose(1, 2, 0).copy()  # (m, m, nt)
+    x = np.array(rhs, order="C")
+    m = len(low)
+    for i in range(m):
+        for j in range(i):
+            x[i] -= low[i, j] * x[j]
+        x[i] /= low[i, i]
+    for i in range(m - 1, -1, -1):
+        for j in range(i + 1, m):
+            x[i] -= low[j, i] * x[j]
+        x[i] /= low[i, i]
+    return x
+
+
+def _solve_normal(gram, rhs, sigma):
+    """Solve map gram^-1 rhs as (nt, m, nb) and condition estimates (nt,).
+
+    rhs (m, nb, nt) is A_w^T / sigma, targets last, with A_w the weighted
+    basis (nt, nb, m) and gram = A_w^T A_w, so that
+    G^-1 = (solve_map sigma)(solve_map sigma)^T and tr(G^-1) is the
+    squared Frobenius norm of solve_map sigma. The estimate is the bound
+    tr(G) tr(G^-1) where it is at most CONDITION_LIMIT / 2, otherwise the
+    exact ratio; inf at points whose gram has a non-finite entry, which
+    never reach LAPACK. The solve map is None when any point has a
+    non-finite gram or the factorization fails; every estimate is then
+    the exact ratio (inf where non-finite).
+    """
+    cond = np.full(len(gram), np.inf)
+    finite = np.isfinite(gram).all(axis=(1, 2))
+    solve_map = None
+    exact = finite
+    if finite.all():
+        try:
+            x = _cholesky_solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            inv_trace = np.sum((x * sigma.T) ** 2, axis=(0, 1))
+            cond = np.trace(gram, axis1=1, axis2=2) * inv_trace
+            exact = ~(cond <= CONDITION_LIMIT / 2)
+            solve_map = np.ascontiguousarray(x.transpose(2, 0, 1))
+    if exact.any():
+        cond[exact] = _condition_ratio(gram[exact])
+    return solve_map, cond
+
+
 class JetOperator:
     """Precomputed per-point linear maps from sample values to jets.
 
@@ -137,6 +218,11 @@ class JetOperator:
     factorization across time steps. Jets at different points are
     independent: the whole construction is batched. Jets are taken at
     `targets` (shape (m, dim)), by default at the sample points themselves.
+
+    condition_estimates holds, per target, an upper bound on the 2-norm
+    condition of the scaled normal matrix G, tr(G) tr(G^-1), which is at
+    most m^2 times the exact ratio lambda_max / lambda_min; where the
+    bound exceeds CONDITION_LIMIT / 2 it holds the exact ratio instead.
     """
 
     def __init__(self, points, config, targets=None):
@@ -164,23 +250,17 @@ class JetOperator:
         scaled = offsets / h[:, None, None]
         basis = _monomial_basis(scaled, exponents)           # (nt, nb, m)
         a_mat = basis / sigma[:, :, None]
-        a_t = np.transpose(a_mat, (0, 2, 1))
-        gram = np.matmul(a_t, a_mat)
+        gram = np.matmul(np.transpose(a_mat, (0, 2, 1)), a_mat)
 
-        evals = np.linalg.eigvalsh(gram)
-        with np.errstate(divide="ignore"):
-            cond = np.where(evals[:, 0] > 0,
-                            evals[:, -1] / np.maximum(evals[:, 0], 1e-300),
-                            np.inf)
+        # solve_map[n, s, k]: scaled coefficient s from neighbor value k
+        solve_map, cond = _solve_normal(
+            gram, (a_mat / sigma[:, :, None]).transpose(2, 1, 0), sigma)
         self.condition_estimates = cond
-        if np.any(cond > CONDITION_LIMIT):
+        if solve_map is None or np.any(cond > CONDITION_LIMIT):
             raise IllConditioned(
                 f"normal-equation condition estimate {cond.max():.3e} exceeds "
                 f"{CONDITION_LIMIT:.1e} at "
                 f"{int(np.sum(cond > CONDITION_LIMIT))} point(s)")
-
-        # solve_map[n, s, k]: scaled coefficient s from neighbor value k
-        solve_map = np.linalg.solve(gram, a_t / sigma[:, None, :])
 
         degrees = np.array([sum(e) for e in exponents], dtype=float)
         unscale = h[:, None] ** -degrees[None, :]

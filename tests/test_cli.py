@@ -222,6 +222,18 @@ def test_snapshot_columns_match_row_by_row_formatting(dim):
     assert list(zip(*columns)) == rows
 
 
+@pytest.mark.parametrize("scenario, columns", [
+    ("fig6_one_particle", "using 2:3 "),
+    ("fig7_ci_reduced", "using 2:3:($4**2+$5**2) "),
+])
+def test_fd_plot_script_matches_the_grid_dimension(scenario, columns):
+    # 2D fields.csv has columns t,y1,y2,re,im: plot the density over
+    # (y1, y2), not y1 against y2
+    script = cli._plot_script(load_config(cli.scenario_path(scenario)))
+    plot = [ln for ln in script.splitlines() if "fields.csv" in ln]
+    assert len(plot) == 1 and columns in plot[0]
+
+
 def test_run_reproducible(tmp_path):
     cfg_path = _write(tmp_path, "tiny.cfg", FD_CFG)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

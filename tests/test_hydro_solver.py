@@ -103,6 +103,28 @@ def test_crossing_flips_status_degraded():
     assert out.status == hydro_solver.DEGRADED
 
 
+def test_non_finite_step_ends_degraded(monkeypatch):
+    # a step that leaves a NaN position: the next operator build is
+    # IllConditioned, and the run ends in a Degraded snapshot
+    step = hydro_solver.lagrangian_step
+
+    def nan_step(ensemble, dt, op):
+        out = step(ensemble, dt, op)
+        y = out.y.copy()
+        y[len(y) // 2] = np.nan
+        return hydro_solver.FluidEnsemble(y=y, v=out.v, g=out.g, t=out.t,
+                                          status=hydro_solver.DEGRADED)
+
+    monkeypatch.setattr(hydro_solver, "lagrangian_step", nan_step)
+    cfg = _scenario(grid=UniformGrid(-4.0, 4.0, 101), n_steps=20,
+                    t_final=2e-4)
+    snaps, diags = hydro_solver.propagate_hydro(cfg)
+    assert np.isnan(snaps[-1].y).any()
+    assert snaps[-1].status == hydro_solver.DEGRADED
+    assert diags[-1].status == hydro_solver.DEGRADED
+    assert np.isnan(diags[-1].q_num).all()
+
+
 def test_single_packet_refinement_ladder(packet_field):
     # no node anywhere: both viewpoints converge to the similarity flow
     errors = []

@@ -292,3 +292,112 @@ def test_condition_estimate_reported():
     cfg = MwlsConfig(n_neighbors=10, poly_order=3)
     (cond,) = mwls.JetOperator(y, cfg, targets=[[0.0]]).condition_estimates
     assert 1.0 <= cond < mwls.CONDITION_LIMIT
+
+
+def _spy_normal_systems(monkeypatch):
+    """Record (gram, rhs, sigma) of every normal-equation solve."""
+    calls = []
+    solve = mwls._solve_normal
+
+    def spy(gram, rhs, sigma):
+        calls.append((gram.copy(), rhs.copy(), sigma.copy()))
+        return solve(gram, rhs, sigma)
+
+    monkeypatch.setattr(mwls, "_solve_normal", spy)
+    return calls
+
+
+def _eigvalsh_ratio(gram):
+    """The exact condition check: lambda_max / lambda_min from eigvalsh."""
+    evals = np.linalg.eigvalsh(gram)
+    with np.errstate(divide="ignore"):
+        return np.where(evals[:, 0] > 0,
+                        evals[:, -1] / np.maximum(evals[:, 0], 1e-300),
+                        np.inf)
+
+
+def _fig3_points():
+    return np.linspace(-4.0, 4.0, 801), MwlsConfig(n_neighbors=12,
+                                                    poly_order=5)
+
+
+def _random_2d_points():
+    rng = np.random.default_rng(11)
+    return (rng.uniform(-1.0, 1.0, (300, 2)),
+            MwlsConfig(n_neighbors=20, poly_order=3))
+
+
+@pytest.mark.parametrize("case", [_fig3_points, _random_2d_points])
+def test_cholesky_solve_matches_lapack_solve(case, monkeypatch):
+    calls = _spy_normal_systems(monkeypatch)
+    mwls.JetOperator(*case())
+    ((gram, rhs, sigma),) = calls
+    got, _ = mwls._solve_normal(gram, rhs, sigma)
+    want = np.linalg.solve(gram, np.transpose(rhs, (2, 0, 1)))
+    err = np.abs(got - want).max(axis=(1, 2))
+    assert np.all(err <= 1e-9 * np.abs(want).max(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("case", [_fig3_points, _random_2d_points])
+def test_condition_estimate_bounds_the_exact_ratio(case, monkeypatch):
+    # cond <= tr(G) tr(G^-1) <= m^2 cond, up to rounding in both sides
+    calls = _spy_normal_systems(monkeypatch)
+    op = mwls.JetOperator(*case())
+    exact = _eigvalsh_ratio(calls[0][0])
+    m = len(op._exponents)
+    est = op.condition_estimates
+    assert np.all(exact <= est * (1 + 1e-6))
+    assert np.all(est <= m ** 2 * exact * (1 + 1e-6))
+
+
+def test_ill_conditioned_decisions_equal_the_exact_check(monkeypatch):
+    # nearly collinear 2D points whose exact condition crosses the limit,
+    # with a fine sweep where the bound and the exact ratio straddle it
+    x = np.linspace(-1.0, 1.0, 15)
+    targets = np.column_stack([np.linspace(-0.5, 0.5, 5), np.zeros(5)])
+    cfg = MwlsConfig(n_neighbors=15, poly_order=2)
+    calls = _spy_normal_systems(monkeypatch)
+    outcomes = set()
+    for amp in np.concatenate([np.geomspace(1e-1, 1e-7, 25),
+                               np.geomspace(2.5e-3, 1e-3, 12)]):
+        pts = np.column_stack([x, amp * np.sin(7.0 * x)])
+        try:
+            op = mwls.JetOperator(pts, cfg, targets=targets)
+            message = None
+        except IllConditioned as e:
+            message = str(e)
+        exact = _eigvalsh_ratio(calls[-1][0])
+        over = exact > mwls.CONDITION_LIMIT
+        outcomes.add("raised" if message else "passed")
+        if over.any():
+            assert message == (
+                f"normal-equation condition estimate {exact.max():.3e} "
+                f"exceeds {mwls.CONDITION_LIMIT:.1e} at "
+                f"{int(over.sum())} point(s)")
+        else:
+            assert message is None
+            est = op.condition_estimates
+            assert np.all(est >= exact * (1 - 1e-6))
+            if np.any(est == exact):
+                outcomes.add("passed on the exact ratio")
+    assert outcomes == {"raised", "passed", "passed on the exact ratio"}
+
+
+def test_singular_gram_fails_cholesky_and_is_ill_conditioned(monkeypatch):
+    # coincident points: rank-one normal matrix, no Cholesky factor
+    calls = _spy_normal_systems(monkeypatch)
+    with pytest.raises(IllConditioned, match="estimate inf"):
+        mwls.JetOperator(np.zeros(12), MwlsConfig(n_neighbors=12,
+                                                  poly_order=3),
+                         targets=[[0.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(calls[0][0])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_point_is_ill_conditioned(bad):
+    y = np.linspace(-4.0, 4.0, 101)
+    y[40] = bad
+    with pytest.raises(IllConditioned, match="estimate inf"):
+        mwls.JetOperator(y, MwlsConfig(n_neighbors=12, poly_order=5))
