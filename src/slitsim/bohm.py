@@ -3,7 +3,9 @@
 The velocity field is the phase gradient, computed in the branch-free
 form (psi_R grad psi_I - psi_I grad psi_R) / (psi_R^2 + psi_I^2) with the
 4th-order first-derivative stencils; points whose density falls below
-EPS_NODE times the instantaneous peak are masked as undefined. Off-grid
+EPS_NODE times the instantaneous peak are masked as undefined (NaN). The
+stencils run only on the block of the grid that holds the unmasked
+points, which gives the same numbers as the whole grid. Off-grid
 values come from local cubic interpolation, and trajectories are RK4 with
 the velocity linearly interpolated in time between adjacent field steps.
 A family of trajectories is integrated as one stack: each RK4 stage is
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import fd_solver
 from .analytic import Trajectory, _stack
-from .core import EPS_NODE
+from .core import EPS_NODE, MIN_POINTS
 from .errors import OutsideGrid
 
 
@@ -39,16 +41,36 @@ class VelocityField:
 def velocity_field(field, t=0.0):
     """Velocity at every grid point with near-node points masked."""
     grid = field.grid
-    dens = field.density()
+    dens = field.re * field.re
+    dens += field.im * field.im
     mask = dens < EPS_NODE * dens.max()
-    grad_re = fd_solver.gradient(field.re, grid)
-    grad_im = fd_solver.gradient(field.im, grid)
-    safe = np.where(mask, 1.0, dens)
-    comps = tuple(
-        np.where(mask, np.nan,
-                 (field.re * gi - field.im * gr) / safe)
-        for gr, gi in zip(grad_re, grad_im))
-    return VelocityField(grid=grid, t=t, components=comps, mask=mask)
+    dens[mask] = np.nan         # masked velocities come out NaN
+    box = _unmasked_box(mask)
+    re, im, dens = field.re[box], field.im[box], dens[box]
+    comps = []
+    for gr, gi in zip(fd_solver.gradient(re, grid),
+                      fd_solver.gradient(im, grid)):
+        v = re * gi
+        v -= im * gr
+        comp = np.full(grid.shape, np.nan)
+        np.divide(v, dens, out=comp[box])
+        comps.append(comp)
+    return VelocityField(grid=grid, t=t, components=tuple(comps), mask=mask)
+
+
+def _unmasked_box(mask):
+    """Slices of the block that holds every unmasked point and the two
+    points on each side that its stencils read, at least MIN_POINTS long
+    on each axis. Inside the block the stencils see what they see on the
+    whole grid; outside it every point is masked."""
+    box = []
+    for a, n in enumerate(mask.shape):
+        others = tuple(b for b in range(mask.ndim) if b != a)
+        idx = np.flatnonzero(~mask.all(axis=others))
+        lo = min(max(idx[0] - 2, 0), n - MIN_POINTS)
+        hi = max(min(idx[-1] + 3, n), lo + MIN_POINTS)
+        box.append(slice(lo, hi))
+    return tuple(box)
 
 
 #: For each node j of a 4-point stencil, the other nodes k != j in order.

@@ -323,6 +323,9 @@ def run(config_path, out_root=None):
         "solver": spec.config.solver,
         "status": status,
         "wall_time_s": wall,
+        "n_steps": spec.config.n_steps,
+        "versions": {"python": sys.version.split()[0],
+                     "numpy": np.__version__},
         "errors": errors,
         "files": files + [plot_name],
         "out_dir": out_dir,

@@ -13,95 +13,185 @@ classic RK4 on the coupled 2N-component system.
 
 The system is linear and time-independent, so one RK4 step is exactly the
 degree-4 Taylor polynomial of the propagator, psi <- sum_{k<=4} (dt A)^k
-psi / k!; it is evaluated in Horner form, u <- psi + c dt A u for c = 1/4,
-1/3, 1/2, 1 (Leforestier et al., J. Comput. Phys. 94, 59 (1991)). In 1D
-the polynomial is applied once to the identity, and each step is then one
-prebuilt real matrix pair: psi <- (P + iQ) psi. 2D keeps the stencils.
+psi / k!. It is evaluated in Horner form (Leforestier et al., J. Comput.
+Phys. 94, 59 (1991)): with u = psi, for c = 1/4, 1/3, 1/2, 1 in turn,
+
+    u_R <- psi_R - (c dt / 2) lap u_I
+    u_I <- psi_I + (c dt / 2) lap u_R
+
+and the last u is the new psi. One stencil kernel, `_apply`, does all the
+differencing, in place: out = base + k L f, where L is the integer
+stencil of 12 delta^2 d^2/dy^2 (or 12 delta d/dy) summed over the chosen
+axes. For a Horner stage k = -+c dt / (24 delta^2) is folded into the
+weights, so the stage writes straight into the next stage's arrays with
+no separate Laplacian or right-hand side. Per axis, the interior is two
+scaled pair sums, f[i+1] + f[i-1] and f[i+2] + f[i-2] (differences for
+d/dy), in two work strips that every step reuses; the two edge points on
+each side are one (2 x 6) matmul. The axis terms are summed first, the
+same way on every axis, so an exchange-symmetric 2D field stays exactly
+symmetric; the centre term of all axes then goes on once. `gradient`
+runs the same kernel with the first-derivative weights. In 1D the
+polynomial is applied once to the identity, and each step is then one
+prebuilt real matrix pair: psi <- (P + iQ) psi.
 """
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import MIN_POINTS, ComplexField
 from .errors import GridTooSmall
 
-# Second-derivative boundary weights, common factor 1/(12 delta^2); the
-# interior uses the 5-point central formula, the outermost point the fully
-# one-sided 6-point formula, its neighbor the skewed 6-point formula
-# (written out in place below).
-_C_EDGE = (45.0, -154.0, 214.0, -156.0, 61.0, -10.0)       # at index 0
+# laplacian is not used by the stepper; it stays public for callers that
+# want the stencil Laplacian of a sampled function.
+__all__ = ["NORM_TOLERANCE", "gradient", "iterate", "laplacian"]
 
-# First-derivative boundary weights, common factor 1/(12 delta); the
-# interior uses the 5-point central formula.
-_D_EDGE = (-25.0, 48.0, -36.0, 16.0, -3.0)                 # at index 0
-_D_SKEW = (-3.0, -10.0, 18.0, -6.0, 1.0)                   # at index 1
+# Integer stencil weights, as ((centre, +-1, +-2) of the 5-point central
+# formula, (the 6-point rows at index 0 and at index 1), parity). The
+# rows at -1 and -2 mirror those at 0 and 1, times the parity: +1 for the
+# second derivative (common factor 1/(12 delta^2)), -1 for the first
+# (common factor 1/(12 delta)).
+_SECOND = ((-30.0, 16.0, -1.0),
+           ((45.0, -154.0, 214.0, -156.0, 61.0, -10.0),     # one-sided
+            (10.0, -15.0, -4.0, 14.0, -6.0, 1.0)),          # skewed
+           1.0)
+_FIRST = ((0.0, 8.0, -1.0),
+          ((-25.0, 48.0, -36.0, 16.0, -3.0, 0.0),
+           (-3.0, -10.0, 18.0, -6.0, 1.0, 0.0)),
+          -1.0)
 
-
-def _check_axis_length(n):
-    if n < MIN_POINTS:
-        raise GridTooSmall(
-            f"stencils need at least {MIN_POINTS} points per axis, got {n}")
-
-
-def _second_derivative_axis(f, delta, axis=0):
-    """4th-order second derivative along one axis of a 1D or 2D array."""
-    f = np.moveaxis(f, axis, 0)
-    _check_axis_length(f.shape[0])
-    out = np.empty_like(f, dtype=float)
-    out[2:-2] = (-30.0 * f[2:-2]
-                 + 16.0 * (f[3:-1] + f[1:-3])
-                 - (f[4:] + f[:-4]))
-    out[0] = sum(c * f[k] for k, c in enumerate(_C_EDGE))
-    out[1] = (10.0 * f[0] - 15.0 * f[1] - 4.0 * f[2]
-              + 14.0 * f[3] - 6.0 * f[4] + f[5])
-    out[-1] = sum(c * f[-1 - k] for k, c in enumerate(_C_EDGE))
-    out[-2] = (10.0 * f[-1] - 15.0 * f[-2] - 4.0 * f[-3]
-               + 14.0 * f[-4] - 6.0 * f[-5] + f[-6])
-    out /= 12.0 * delta ** 2
-    return np.moveaxis(out, 0, axis)
+#: Horner coefficients of the degree-4 Taylor polynomial, in stage order.
+_HORNER = (1.0 / 4.0, 1.0 / 3.0, 1.0 / 2.0, 1.0)
 
 
-def _first_derivative_axis(f, delta, axis=0):
-    """4th-order first derivative along one axis of a 1D or 2D array."""
-    f = np.moveaxis(f, axis, 0)
-    _check_axis_length(f.shape[0])
-    out = np.empty_like(f, dtype=float)
-    out[2:-2] = 8.0 * (f[3:-1] - f[1:-3]) - (f[4:] - f[:-4])
-    out[0] = sum(c * f[k] for k, c in enumerate(_D_EDGE))
-    out[1] = sum(c * f[k] for k, c in enumerate(_D_SKEW))
-    out[-1] = -sum(c * f[-1 - k] for k, c in enumerate(_D_EDGE))
-    out[-2] = -sum(c * f[-1 - k] for k, c in enumerate(_D_SKEW))
-    out /= 12.0 * delta
-    return np.moveaxis(out, 0, axis)
+class _Weights(NamedTuple):
+    """One stencil with its scale folded in (see _folded)."""
+
+    centre: float       # every point, once for all axes
+    near: float         # times f[i+1] +- f[i-1]
+    far: float          # times f[i+2] +- f[i-2]
+    pair: object        # np.add (even derivative) or np.subtract (odd)
+    lo: np.ndarray      # (2, 6): rows 0, 1 from f[:6], less the centre
+    hi: np.ndarray      # (2, 6): rows -2, -1 from f[-6:], less the centre
+
+
+def _folded(stencil, scale, n_axes):
+    """_Weights of `stencil` times `scale`, summed over `n_axes` axes."""
+    (c0, c1, c2), edge, parity = stencil
+    lo = np.array(edge)
+    lo[[0, 1], [0, 1]] -= c0    # the centre pass adds c0 there
+    lo *= scale
+    return _Weights(centre=n_axes * c0 * scale, near=c1 * scale,
+                    far=c2 * scale,
+                    pair=np.add if parity > 0 else np.subtract,
+                    lo=lo, hi=parity * lo[::-1, ::-1])
+
+
+#: The first derivative, times 12 delta.
+_D1 = _folded(_FIRST, 1.0, 1)
+
+
+def _work_strips(shape, axes):
+    """Two flat work buffers, each large enough for one axis's interior
+    (the array less 4 points along that axis); GridTooSmall if an axis
+    is too short for the stencils."""
+    for a in axes:
+        if shape[a] < MIN_POINTS:
+            raise GridTooSmall(f"stencils need at least {MIN_POINTS} points "
+                               f"per axis, got {shape[a]}")
+    size = max(math.prod(shape) // shape[a] * (shape[a] - 4) for a in axes)
+    return np.empty(size), np.empty(size)
+
+
+def _apply(w, f, axes, out, work, base=None):
+    """out = base + (stencil w along each of `axes`)(f), in place.
+
+    f is 1D or 2D; out has its shape and shares no memory with f or base;
+    base None means no base term. work is a pair from _work_strips for
+    this shape or a larger one. The axis terms are summed before the
+    centre and base terms are added, and each axis takes the same
+    operations, so a symmetric 2D f gives a symmetric out.
+    """
+    for k, a in enumerate(axes):
+        lead = (slice(None),) * a
+
+        def cut(start, stop):
+            return lead + (slice(start, stop),)
+        inner = f[cut(2, -2)]
+        w1, w2 = (buf[:inner.size].reshape(inner.shape) for buf in work)
+        w.pair(f[cut(3, -1)], f[cut(1, -3)], out=w1)
+        w1 *= w.near
+        w.pair(f[cut(4, None)], f[cut(None, -4)], out=w2)
+        w2 *= w.far
+        if a == 0:
+            lo, hi = w.lo @ f[:6], w.hi @ f[-6:]
+        else:   # the axis-0 product on the transposed columns, same bits
+            lo = (w.lo @ f[:, :6].T.copy()).T
+            hi = (w.hi @ f[:, -6:].T.copy()).T
+        if k:
+            w1 += w2
+            out[cut(2, -2)] += w1
+            out[cut(None, 2)] += lo
+            out[cut(-2, None)] += hi
+        else:
+            np.add(w1, w2, out=out[cut(2, -2)])
+            out[cut(None, 2)] = lo
+            out[cut(-2, None)] = hi
+    if w.centre:
+        strip = work[0][:f[2:-2].size].reshape(f[2:-2].shape)
+        np.multiply(f[2:-2], w.centre, out=strip)
+        out[2:-2] += strip
+        out[:2] += w.centre * f[:2]
+        out[-2:] += w.centre * f[-2:]
+    if base is not None:
+        out += base
 
 
 def laplacian(values, grid):
     """4th-order Laplacian; axis by axis on a square 2D grid."""
     f = np.asarray(values, dtype=float)
-    out = _second_derivative_axis(f, grid.delta)
-    if grid.dim == 2:
-        out += _second_derivative_axis(f, grid.delta, axis=1)
+    axes = tuple(range(grid.dim))
+    out = np.empty_like(f)
+    _apply(_folded(_SECOND, 1.0 / (12.0 * grid.delta ** 2), grid.dim), f,
+           axes, out, _work_strips(f.shape, axes))
     return out
 
 
 def gradient(values, grid):
     """Tuple of 4th-order first derivatives, one per axis."""
     f = np.asarray(values, dtype=float)
-    return tuple(_first_derivative_axis(f, grid.delta, axis=a)
-                 for a in range(grid.dim))
+    axes = tuple(range(grid.dim))
+    work = _work_strips(f.shape, axes)
+    out = []
+    for a in axes:
+        d = np.empty_like(f)
+        _apply(_D1, f, (a,), d, work)
+        d /= 12.0 * grid.delta
+        out.append(d)
+    return tuple(out)
 
 
-def rhs(re, im, grid):
-    """Time derivatives (d psi_R/dt, d psi_I/dt) of the split system."""
-    return -0.5 * laplacian(im, grid), 0.5 * laplacian(re, grid)
+class _Rk4:
+    """RK4 steps of the split system on arrays of at most `shape`, with
+    the stencils along `axes`; the work strips serve every step."""
 
+    def __init__(self, shape, axes, delta, dt):
+        self.axes = axes
+        h = [0.5 * c * dt / (12.0 * delta ** 2) for c in _HORNER]
+        self.stages = [(_folded(_SECOND, -k, len(axes)),
+                        _folded(_SECOND, k, len(axes))) for k in h]
+        self.work = _work_strips(shape, axes)
 
-def _rk4_arrays(re, im, grid, dt):
-    """One RK4 step, as its Taylor polynomial in Horner form."""
-    ur, ui = re, im
-    for c in (1.0 / 4.0, 1.0 / 3.0, 1.0 / 2.0, 1.0):
-        kr, ki = rhs(ur, ui, grid)
-        ur, ui = re + (c * dt) * kr, im + (c * dt) * ki
-    return ur, ui
+    def step(self, re, im):
+        """(re, im) one step on, as new arrays."""
+        ur, ui = re, im
+        for wr, wi in self.stages:
+            nr, ni = np.empty_like(re), np.empty_like(im)
+            _apply(wr, ui, self.axes, nr, self.work, base=re)
+            _apply(wi, ur, self.axes, ni, self.work, base=im)
+            ur, ui = nr, ni
+        return ur, ui
 
 
 def _step_matrices(grid, dt, block=32):
@@ -113,24 +203,29 @@ def _step_matrices(grid, dt, block=32):
     """
     n = grid.n
     p, q = np.empty((n, n)), np.empty((n, n))
+    rk4 = _Rk4((n, min(block, n)), (0,), grid.delta, dt)
     for j in range(0, n, block):
         cols = np.eye(n, min(block, n - j), -j)
-        p[:, j:j + block], q[:, j:j + block] = _rk4_arrays(
-            cols, np.zeros_like(cols), grid, dt)
+        p[:, j:j + block], q[:, j:j + block] = rk4.step(
+            cols, np.zeros_like(cols))
     return p, q
 
 
 def iterate(field, dt, n_steps):
-    """Yield (t, field) after each of n_steps RK4 steps from t=0 (lazy)."""
+    """Yield (t, field) after each of n_steps RK4 steps from t=0 (lazy).
+
+    Each yielded field owns new arrays."""
     grid = field.grid
     re, im = field.re, field.im
     if grid.dim == 1:
         p, q = _step_matrices(grid, dt)
+    else:
+        rk4 = _Rk4(grid.shape, (0, 1), grid.delta, dt)
     for k in range(n_steps):
         if grid.dim == 1:
             re, im = p @ re - q @ im, q @ re + p @ im
         else:
-            re, im = _rk4_arrays(re, im, grid, dt)
+            re, im = rk4.step(re, im)
         yield (k + 1) * dt, ComplexField(grid=grid, re=re, im=im)
 
 

@@ -239,18 +239,21 @@ class JetOperator:
             raise TooFewPoints(
                 f"{nb} neighbors cannot support {m} basis polynomials")
 
-        self.neighbor_idx = _nearest(pts, tgt, nb)
-        offsets = pts[self.neighbor_idx] - tgt[:, None, :]   # (nt, nb, dim)
-        d2 = np.sum(offsets ** 2, axis=2)
+        # an inf coordinate makes inf - inf and inf / inf here; the NaN
+        # reaches the normal matrix, and the point set is IllConditioned
+        with np.errstate(invalid="ignore"):
+            self.neighbor_idx = _nearest(pts, tgt, nb)
+            offsets = pts[self.neighbor_idx] - tgt[:, None, :]
+            d2 = np.sum(offsets ** 2, axis=2)                # (nt, nb)
 
-        sigma = _neighbor_sigma(d2, config.weight_width)
+            sigma = _neighbor_sigma(d2, config.weight_width)
 
-        h = np.sqrt(d2).mean(axis=1)
-        h[h == 0.0] = 1.0
-        scaled = offsets / h[:, None, None]
-        basis = _monomial_basis(scaled, exponents)           # (nt, nb, m)
-        a_mat = basis / sigma[:, :, None]
-        gram = np.matmul(np.transpose(a_mat, (0, 2, 1)), a_mat)
+            h = np.sqrt(d2).mean(axis=1)
+            h[h == 0.0] = 1.0
+            scaled = offsets / h[:, None, None]
+            basis = _monomial_basis(scaled, exponents)       # (nt, nb, m)
+            a_mat = basis / sigma[:, :, None]
+            gram = np.matmul(np.transpose(a_mat, (0, 2, 1)), a_mat)
 
         # solve_map[n, s, k]: scaled coefficient s from neighbor value k
         solve_map, cond = _solve_normal(

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from slitsim import analytic, bohm
-from slitsim.core import ComplexField, UniformGrid, WavePacketParams
+from slitsim import analytic, bohm, fd_solver
+from slitsim.core import EPS_NODE, ComplexField, UniformGrid, WavePacketParams
 from slitsim.errors import OutsideGrid
 
 
@@ -60,6 +60,32 @@ def test_velocity_field_odd_symmetry(one_field):
     assert v[mid] == pytest.approx(0.0, abs=1e-12)
     ok = ~(vf.mask | vf.mask[::-1])
     assert np.allclose(v[ok], -v[::-1][ok], atol=1e-12)
+
+
+@pytest.mark.parametrize("grid, t", [
+    (UniformGrid(-13.0, 13.0, 261), 0.3),
+    (UniformGrid(-1.5, 6.0, 76), 0.05),
+    (UniformGrid(-13.0, 13.0, 131, dim=2), 0.05),
+    (UniformGrid(-1.5, 6.0, 76, dim=2), 0.05),
+], ids=["1d", "1d-edge", "2d", "2d-edge"])
+def test_velocity_field_equals_the_whole_grid_formula(grid, t):
+    # the stencils run on the block around the unmasked points only (which
+    # reaches the lower grid edge in the -edge cases); every point keeps
+    # the bits of the formula on the whole grid
+    fld = analytic.sample_field(
+        analytic.field_for(WavePacketParams(particles=grid.dim)), grid, t)
+    dens = fld.density()
+    mask = dens < EPS_NODE * dens.max()
+    want = [np.where(mask, np.nan,
+                     (fld.re * gi - fld.im * gr) / np.where(mask, 1.0, dens))
+            for gr, gi in zip(fd_solver.gradient(fld.re, grid),
+                              fd_solver.gradient(fld.im, grid))]
+    vf = bohm.velocity_field(fld, t)
+    assert np.array_equal(vf.mask, mask)
+    for got, w in zip(vf.components, want):
+        assert np.array_equal(got, w, equal_nan=True)
+    block = bohm._unmasked_box(mask)
+    assert block[0].stop - block[0].start < grid.n
 
 
 def test_interpolation_on_node_matches_grid_value():

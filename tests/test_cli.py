@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -268,6 +269,20 @@ def test_run_hydro_end_to_end(tmp_path):
     with open(os.path.join(run_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
     assert manifest["errors"]["snapshots"][-1]["max_v_error"] < 1e-3
+
+
+@pytest.mark.parametrize("text, label", [(FD_CFG, "tiny_fd"),
+                                         (HYDRO_CFG, "tiny_hydro")],
+                         ids=["fd", "hydro"])
+def test_manifest_records_versions_and_step_count(tmp_path, text, label):
+    cfg_path = _write(tmp_path, "run.cfg", text)
+    out = str(tmp_path / "runs")
+    assert cli.main(["run", cfg_path, "--out", out]) == 0
+    with open(os.path.join(out, label, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    assert manifest["n_steps"] == 100
+    assert manifest["versions"] == {"python": platform.python_version(),
+                                    "numpy": np.__version__}
 
 
 def test_run_hydro_euler_end_to_end(tmp_path):

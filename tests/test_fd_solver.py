@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from slitsim import analytic, fd_solver
-from slitsim.core import (ComplexField, ScenarioConfig, UniformGrid,
+from slitsim.core import (MIN_POINTS, ScenarioConfig, UniformGrid,
                           WavePacketParams, norm)
+from slitsim.errors import GridTooSmall
 
 
 def test_second_derivative_exact_on_quartics():
@@ -42,6 +43,66 @@ def test_gradient_2d_axes():
     d1, d2 = fd_solver.gradient(f, g)
     assert np.allclose(d1, 2.0 * y1, atol=1e-10)
     assert np.allclose(d2, -3.0, atol=1e-10)
+
+
+# The stencils written out, as the reference for the kernel: 5-point
+# central interior; 6-point rows at indices 0 and 1, mirrored at -1 and -2
+# (with a sign flip for the first derivative). Common factors 1/(12 d^2)
+# and 1/(12 d).
+_EDGE_2ND = ((45.0, -154.0, 214.0, -156.0, 61.0, -10.0),
+             (10.0, -15.0, -4.0, 14.0, -6.0, 1.0))
+_EDGE_1ST = ((-25.0, 48.0, -36.0, 16.0, -3.0),
+             (-3.0, -10.0, 18.0, -6.0, 1.0))
+
+
+def _written_out(line, second):
+    """12 d^2 f'' (second) or 12 d f' along one line, point by point."""
+    n = len(line)
+    out = np.empty(n)
+    for i in range(2, n - 2):
+        if second:
+            out[i] = (-line[i + 2] + 16.0 * line[i + 1] - 30.0 * line[i]
+                      + 16.0 * line[i - 1] - line[i - 2])
+        else:
+            out[i] = (-line[i + 2] + 8.0 * line[i + 1] - 8.0 * line[i - 1]
+                      + line[i - 2])
+    edge, sign = (_EDGE_2ND, 1.0) if second else (_EDGE_1ST, -1.0)
+    for r in (0, 1):
+        out[r] = sum(c * line[k] for k, c in enumerate(edge[r]))
+        out[n - 1 - r] = sign * sum(c * line[n - 1 - k]
+                                    for k, c in enumerate(edge[r]))
+    return out
+
+
+def _written_out_axes(f, second):
+    """_written_out down every column (axis 0) and along every row."""
+    down = np.column_stack([_written_out(col, second) for col in f.T])
+    along = np.vstack([_written_out(row, second) for row in f])
+    return down, along
+
+
+@pytest.mark.parametrize("n", [MIN_POINTS, 12, 131])
+def test_stencils_match_the_written_out_formulas(n):
+    g = UniformGrid(-2.0, 3.0, n, dim=2)
+    f = np.random.default_rng(n).standard_normal(g.shape)
+    down, along = _written_out_axes(f, second=True)
+    want = (down + along) / (12.0 * g.delta ** 2)
+    got = fd_solver.laplacian(f, g)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    for got, want in zip(fd_solver.gradient(f, g),
+                         _written_out_axes(f, second=False)):
+        want = want / (12.0 * g.delta)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shape", [(MIN_POINTS, MIN_POINTS - 1),
+                                   (MIN_POINTS - 1, MIN_POINTS)])
+def test_stencils_reject_a_short_axis(shape):
+    g = UniformGrid(-1.0, 1.0, MIN_POINTS, dim=2)
+    with pytest.raises(GridTooSmall):
+        fd_solver.laplacian(np.zeros(shape), g)
+    with pytest.raises(GridTooSmall):
+        fd_solver.gradient(np.zeros(shape), g)
 
 
 def _laplacian_error(n):
@@ -83,15 +144,19 @@ def test_rk4_temporal_order():
         assert np.log2(e10 / e20) == pytest.approx(4.0, abs=0.2)
 
 
+def _rhs(re, im, grid):
+    """dpsi_R/dt = -(1/2) lap psi_I,  dpsi_I/dt = (1/2) lap psi_R  (V = 0)"""
+    return (-0.5 * fd_solver.laplacian(im, grid),
+            0.5 * fd_solver.laplacian(re, grid))
+
+
 def _classic_rk4(re, im, grid, dt, n_steps):
     """Reference: the four-stage RK4 tableau on the stencil rhs."""
     for _ in range(n_steps):
-        k1r, k1i = fd_solver.rhs(re, im, grid)
-        k2r, k2i = fd_solver.rhs(re + 0.5 * dt * k1r, im + 0.5 * dt * k1i,
-                                 grid)
-        k3r, k3i = fd_solver.rhs(re + 0.5 * dt * k2r, im + 0.5 * dt * k2i,
-                                 grid)
-        k4r, k4i = fd_solver.rhs(re + dt * k3r, im + dt * k3i, grid)
+        k1r, k1i = _rhs(re, im, grid)
+        k2r, k2i = _rhs(re + 0.5 * dt * k1r, im + 0.5 * dt * k1i, grid)
+        k3r, k3i = _rhs(re + 0.5 * dt * k2r, im + 0.5 * dt * k2i, grid)
+        k4r, k4i = _rhs(re + dt * k3r, im + dt * k3i, grid)
         re = re + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         im = im + (dt / 6.0) * (k1i + 2.0 * k2i + 2.0 * k3i + k4i)
     return re + 1j * im
@@ -113,32 +178,44 @@ def test_iterate_matches_classic_rk4(grid, dt):
 def test_step_matrices_do_not_depend_on_the_block_size():
     # 261 = 8 * 32 + 5: the last block is short
     g = UniformGrid(-13.0, 13.0, 261)
-    eye = np.eye(g.n)
-    whole = fd_solver._rk4_arrays(eye, np.zeros_like(eye), g, 2e-4)
-    for block in (32, 7, g.n):
+    whole = fd_solver._step_matrices(g, 2e-4, block=g.n)
+    for block in (32, 7):
         p, q = fd_solver._step_matrices(g, 2e-4, block=block)
         assert np.array_equal(p, whole[0]) and np.array_equal(q, whole[1])
 
 
-def test_rhs_split_form(one_field):
-    # dpsi_R/dt = -(1/2) lap psi_I,  dpsi_I/dt = (1/2) lap psi_R  (V = 0)
-    g = UniformGrid(-13.0, 13.0, 261)
-    fld = analytic.sample_field(one_field, g, 0.3)
-    dre, dim_ = fd_solver.rhs(fld.re, fld.im, g)
-    assert np.allclose(dre, -0.5 * fd_solver.laplacian(fld.im, g))
-    assert np.allclose(dim_, 0.5 * fd_solver.laplacian(fld.re, g))
-
-
-def test_rhs_linearity(one_field, packet_field):
+def test_laplacian_linearity(one_field, packet_field):
     g = UniformGrid(-13.0, 13.0, 101)
     a = analytic.sample_field(one_field, g, 0.2)
     b = analytic.sample_field(packet_field, g, 0.2)
-    combo = ComplexField(grid=g, re=2 * a.re + b.re, im=2 * a.im + b.im)
-    ra, ia = fd_solver.rhs(a.re, a.im, g)
-    rb, ib = fd_solver.rhs(b.re, b.im, g)
-    rc, ic = fd_solver.rhs(combo.re, combo.im, g)
-    assert np.allclose(rc, 2 * ra + rb, atol=1e-12)
-    assert np.allclose(ic, 2 * ia + ib, atol=1e-12)
+    combo = 2 * a.re + b.im
+    lap = fd_solver.laplacian(combo, g)
+    want = 2 * fd_solver.laplacian(a.re, g) + fd_solver.laplacian(b.im, g)
+    assert np.allclose(lap, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("grid", [UniformGrid(-6.0, 6.0, 61),
+                                  UniformGrid(-6.0, 6.0, 41, dim=2)],
+                         ids=["1d", "2d"])
+def test_yielded_fields_are_not_overwritten(grid):
+    # the field provider and the snapshots keep yielded fields while the
+    # stepper reuses its work arrays
+    initial = _packet_on(grid)
+    kept = [(initial, initial.re.copy(), initial.im.copy())]
+    for _, fld in fd_solver.iterate(initial, 1e-3, 6):
+        kept.append((fld, fld.re.copy(), fld.im.copy()))
+    for fld, re, im in kept:
+        assert np.array_equal(fld.re, re) and np.array_equal(fld.im, im)
+
+
+def test_exchange_symmetry_is_exact_in_2d(boson_field):
+    # both axes take the same operations, so psi(y1, y2) = psi(y2, y1)
+    # holds to the last bit
+    g = UniformGrid(-6.0, 6.0, 41, dim=2)
+    initial = analytic.sample_field(boson_field, g, 0.0)
+    for _, fld in fd_solver.iterate(initial, 1e-3, 5):
+        assert np.array_equal(fld.re, fld.re.T)
+        assert np.array_equal(fld.im, fld.im.T)
 
 
 def test_symmetry_preserved_by_stepping(one_field):
