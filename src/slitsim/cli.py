@@ -204,7 +204,8 @@ def run_hydro(spec, out_dir):
         else "Valid"
     errors = {
         "snapshots": [{"t": d.t, "max_v_error": d.max_v_error,
-                       "max_q_error": d.max_q_error, "status": d.status}
+                       "max_q_error": d.max_q_error, "status": d.status,
+                       "mwls_max_condition": d.mwls_max_condition}
                       for d in diags],
     }
     # Lagrangian point paths are the Bohmian trajectories
@@ -220,31 +221,41 @@ def run_hydro(spec, out_dir):
     return status, errors, ["diagnostics.csv"]
 
 
+def _qp_orders(spec):
+    return spec.qp_orders or (2, 3, 4, 5)
+
+
 def run_qp_study(spec, out_dir):
+    """MWLS quantum potential at t=0 for each order, against the exact Q.
+
+    An error entry over a region with no grid point (near the node,
+    |y| <= 0.2, or far from it, |y| >= 0.5) is None.
+    """
     cfg = spec.config
-    orders = spec.qp_orders or (2, 3, 4, 5)
     exact_field = field_for(cfg.packet, cfg.field_kind)
     y = cfg.grid.axis()
     g = exact_field.log_amplitude(y, 0.0)
     q_exact = exact_field.quantum_potential(y, 0.0)
+    near = np.abs(y) <= 0.2
+    far = np.abs(y) >= 0.5
+    far_scale = np.abs(q_exact[far]).max() if far.any() else None
 
     columns = [y, q_exact]
     names = ["y", "Q_exact"]
     summary = {}
-    for order in orders:
+    for order in _qp_orders(spec):
         mc = MwlsConfig(n_neighbors=cfg.mwls.n_neighbors, poly_order=order,
                         weight_width=cfg.mwls.weight_width)
         q, _ = hydro_solver.quantum_potential(JetOperator(y, mc), g)
         columns.append(q)
         names.append(f"Q_order{order}")
         err = np.abs(q - q_exact)
-        near = np.abs(y) <= 0.2
-        far = np.abs(y) >= 0.5
-        scale = np.abs(q_exact[far]).max()
         summary[f"order{order}"] = {
             "max_error": float(err.max()),
-            "max_error_near_node": float(err[near].max()),
-            "max_error_far_rel": float(err[far].max() / scale),
+            "max_error_near_node": (float(err[near].max()) if near.any()
+                                    else None),
+            "max_error_far_rel": (float(err[far].max() / far_scale)
+                                  if far.any() else None),
         }
 
     _write_csv(os.path.join(out_dir, "quantum_potential.csv"), names,
@@ -280,7 +291,7 @@ pause -1
 # gnuplot script: MWLS quantum potential vs exact, by polynomial order
 set datafile separator ','
 set key autotitle columnhead
-plot for [col=3:6] 'quantum_potential.csv' using 1:col with lines, \\
+plot for [col=3:{last_col}] 'quantum_potential.csv' using 1:col with lines, \\
      'quantum_potential.csv' using 1:2 with lines lw 2 title 'exact'
 pause -1
 """,
@@ -289,7 +300,9 @@ pause -1
 
 def _plot_script(spec):
     if spec.mode == "qp_study":
-        return _PLOT_TEMPLATES["qp_study"]
+        # columns y, Q_exact, then one per order
+        return _PLOT_TEMPLATES["qp_study"].format(
+            last_col=2 + len(_qp_orders(spec)))
     if spec.config.solver == "schrodinger_fd":
         return _PLOT_TEMPLATES[f"propagate_fd_{spec.config.grid.dim}d"]
     return _PLOT_TEMPLATES["propagate_hydro"]

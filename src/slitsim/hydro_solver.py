@@ -67,6 +67,7 @@ class HydroDiagnostics:
     max_v_error: float
     max_q_error: float
     status: str
+    mwls_max_condition: float | None   # None where no operator was built
 
 
 def init_from_exact(field, points):
@@ -87,7 +88,7 @@ def quantum_potential(op, g):
     Returns (Q, dg/dy): Euler's viewpoint also advects g with the slope.
     """
     _, dg, d2g = op.apply(g)
-    return -0.5 * (dg[:, 0] ** 2 + d2g), dg[:, 0]
+    return -0.5 * (dg ** 2 + d2g), dg
 
 
 def lagrangian_step(ensemble, dt, op):
@@ -104,8 +105,8 @@ def lagrangian_step(ensemble, dt, op):
     _, dv, _ = op.apply(ensemble.v)
 
     y_new = ensemble.y + dt * ensemble.v
-    v_new = ensemble.v - dt * dq[:, 0]
-    g_new = ensemble.g - 0.5 * dt * dv[:, 0]
+    v_new = ensemble.v - dt * dq
+    g_new = ensemble.g - 0.5 * dt * dv
 
     status = ensemble.status
     if (not np.all(np.isfinite(y_new)) or not np.all(np.isfinite(v_new))
@@ -129,8 +130,8 @@ def eulerian_step(ensemble, dt, op):
     _, dq, _ = op.apply(q)
     _, dv, _ = op.apply(ensemble.v)
 
-    v_new = ensemble.v - dt * dq[:, 0] - dt * ensemble.v * dv[:, 0]
-    g_new = ensemble.g - 0.5 * dt * dv[:, 0] - dt * ensemble.v * dg
+    v_new = ensemble.v - dt * dq - dt * ensemble.v * dv
+    g_new = ensemble.g - 0.5 * dt * dv - dt * ensemble.v * dg
 
     status = ensemble.status
     if (not np.all(np.isfinite(v_new)) or not np.all(np.isfinite(g_new))):
@@ -158,8 +159,10 @@ def diagnose(ensemble, field, op):
     """
     if op is None:
         q_num = np.full_like(ensemble.y, np.nan)
+        max_cond = None
     else:
         q_num, _ = quantum_potential(op, ensemble.g)
+        max_cond = float(op.condition_estimates.max())
     v_exact, q_exact = _exact_profiles(field, ensemble.y, ensemble.t)
     dv = np.abs(ensemble.v - v_exact)
     dq = np.abs(q_num - q_exact)
@@ -171,7 +174,8 @@ def diagnose(ensemble, field, op):
     return HydroDiagnostics(
         t=ensemble.t, y=ensemble.y.copy(), v_num=ensemble.v.copy(),
         v_exact=v_exact, q_num=q_num, q_exact=q_exact,
-        max_v_error=max_v, max_q_error=max_q, status=status)
+        max_v_error=max_v, max_q_error=max_q, status=status,
+        mwls_max_condition=max_cond)
 
 
 def propagate_hydro(config, points=None):

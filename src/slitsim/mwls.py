@@ -1,16 +1,18 @@
-"""Moving weighted least squares derivative estimation on point sets.
+"""Moving weighted least squares derivative estimation on 1D point sets.
 
-Each local fit expands the sampled function in monomials of (r - r0),
-ordered by total degree then lexicographically, weights the residual at
-each neighbor by 1/sigma_n with Gaussian sigma_n, and solves the normal
-equation A^T A a = A^T b. The coefficient vector then directly yields the
-fitted value (degree-0 term), gradient (degree-1 terms), and Laplacian
-(twice the pure degree-2 terms).
+Each local fit expands the sampled function in powers of (y - y0) up to
+the polynomial order, weights the residual at each neighbor by 1/sigma_n
+with Gaussian sigma_n, and solves the normal equation A^T A a = A^T b.
+The coefficients a_0, a_1 and 2 a_2 are then the fitted value, first and
+second derivative.
 
-The neighbors of each target are its n_neighbors nearest points, ties
-going to the lower index. In 1D they come from a window of sorted
-positions around the target, O(N * k) for N points and k neighbors; in
-2D from the dense N x N distance matrix.
+The neighbors of each target are its n_neighbors nearest points. They
+are a window of consecutive points in stable-sorted order, found by
+sliding the window from nb points left of the target's sorted position,
+O(N * k) for N targets and k neighbors, with no distance matrix. At
+equal distance the lower original index wins at the window edge; in a
+block of equal coordinates that straddles the edge, the copies nearest
+in sorted order are taken.
 
 Internally the offsets are rescaled by the mean neighbor distance before
 assembling the basis; this is an exact reparametrization of the same
@@ -35,8 +37,6 @@ Accuracy and Stability of Numerical Algorithms, ch. 10, for the
 Cholesky factorization and its stability.
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import IllConditioned, TooFewPoints
@@ -44,45 +44,13 @@ from .errors import IllConditioned, TooFewPoints
 CONDITION_LIMIT = 1e12
 
 
-def _as_points(points):
-    """Point array with shape (n, dim); accepts (n,) as 1D."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    return pts
-
-
-@lru_cache(maxsize=None)
-def monomial_exponents(dim, order):
-    """Exponent tuples up to total degree `order`, by degree then lexicographic
-    (descending power of the first coordinate within a degree)."""
-    if dim == 1:
-        return tuple((d,) for d in range(order + 1))
-    out = []
-    for d in range(order + 1):
-        for i in range(d, -1, -1):
-            out.append((i, d - i))
-    return tuple(out)
-
-
-def _monomial_basis(scaled, exponents):
-    """basis[n, k, s]: monomial s of the offsets scaled[n, k] (shape
-    (n_targets, n_neighbors, dim)), exponents from monomial_exponents.
-
-    Per-axis powers come from one table filled by repeated products,
-    powers[d, n, k, p] = scaled[n, k, d] ** p, and each monomial is the
-    product of its per-axis powers in axis order.
-    """
-    exps = np.asarray(exponents)                              # (m, dim)
-    order = int(exps.max())
-    axes = np.moveaxis(scaled, 2, 0)                          # (dim, n, k)
-    powers = np.empty(axes.shape + (order + 1,))
-    powers[..., 0] = 1.0
+def _monomial_basis(scaled, order):
+    """basis[n, k, p] = scaled[n, k] ** p for p = 0..order, filled by
+    repeated products."""
+    basis = np.empty(scaled.shape + (order + 1,))
+    basis[..., 0] = 1.0
     for p in range(1, order + 1):
-        powers[..., p] = powers[..., p - 1] * axes
-    basis = powers[0][..., exps[:, 0]]
-    for d in range(1, exps.shape[1]):
-        basis *= powers[d][..., exps[:, d]]
+        basis[..., p] = basis[..., p - 1] * scaled
     return basis
 
 
@@ -101,47 +69,33 @@ def _neighbor_sigma(d2, width):
     return np.exp(d2 / (2.0 * np.asarray(width) ** 2))
 
 
-def _dense_nearest(pts, tgt, nb):
-    """Indices of the nb nearest points per target, ties to the lower index."""
-    dist = np.linalg.norm(tgt[:, None, :] - pts[None, :, :], axis=2)
-    return np.argsort(dist, axis=1, kind="stable")[:, :nb]
-
-
 def _nearest(pts, tgt, nb):
-    """_dense_nearest in O(n_targets * nb) for finite 1D points.
+    """Indices of the nb nearest points of each target, in sorted order.
 
-    Distances grow monotonically away from a target in sorted order, so
-    its nb nearest lie among the nb sorted points on either side of its
-    searchsorted position. The candidates are put back in original index
-    order and ranked with the same distance formula and stable argsort as
-    the dense search, which gives the same picks, ties included, unless a
-    point outside the window is no farther than the last pick (a block of
-    equal distances crossing the window edge): such targets fall back to
-    the dense search.
+    Along the stable-sorted points the distance to a target falls, then
+    rises, so its nb nearest points are nb consecutive ones. The window
+    starts nb points left of the target's searchsorted position, clipped
+    to the array, and moves right past each left end that is farther from
+    the target than the point just past its right end; at equal distance
+    the lower original index wins. It reaches the target's position after
+    at most nb moves.
     """
     n = len(pts)
-    if pts.shape[1] != 1 or not (np.isfinite(pts).all()
-                                 and np.isfinite(tgt).all()):
-        return _dense_nearest(pts, tgt, nb)
-    order = np.argsort(pts[:, 0], kind="stable")
+    order = np.argsort(pts, kind="stable")
     xs = pts[order]
-    w = min(2 * nb, n)
-    pos = np.searchsorted(xs[:, 0], tgt[:, 0])
-    start = np.clip(pos - nb, 0, n - w)
-    cand = np.sort(order[start[:, None] + np.arange(w)], axis=1)
-    dist = np.linalg.norm(tgt[:, None, :] - pts[cand], axis=2)
-    pick = np.argsort(dist, axis=1, kind="stable")[:, :nb]
-    idx = np.take_along_axis(cand, pick, axis=1)
-
-    # nearest excluded point on each side; clipped indices are not used
-    kth = np.take_along_axis(dist, pick[:, -1:], axis=1)[:, 0]
-    left = np.linalg.norm(tgt - xs[np.maximum(start - 1, 0)], axis=1)
-    right = np.linalg.norm(tgt - xs[np.minimum(start + w, n - 1)], axis=1)
-    tied = (((start > 0) & (left <= kth))
-            | ((start + w < n) & (right <= kth)))
-    if tied.any():
-        idx[tied] = _dense_nearest(pts, tgt[tied], nb)
-    return idx
+    start = np.clip(np.searchsorted(xs, tgt) - nb, 0, n - nb)
+    for _ in range(nb):
+        # the point just past the window's right end; clipped, and never
+        # moved to, where the window already ends the array
+        past = np.minimum(start + nb, n - 1)
+        left = tgt - xs[start]
+        right = xs[past] - tgt
+        move = (start + nb < n) & (
+            (left > right) | ((left == right) & (order[start] > order[past])))
+        if not move.any():
+            break
+        start += move
+    return order[start[:, None] + np.arange(nb)]
 
 
 def _condition_ratio(gram):
@@ -216,8 +170,9 @@ class JetOperator:
     assembling it once lets many functions (g, v, Q) be differentiated on
     the same points cheaply, and lets a fixed-grid solver reuse the
     factorization across time steps. Jets at different points are
-    independent: the whole construction is batched. Jets are taken at
-    `targets` (shape (m, dim)), by default at the sample points themselves.
+    independent: the whole construction is batched. points and targets
+    are 1D coordinate arrays; jets are taken at the targets, by default
+    at the points themselves.
 
     condition_estimates holds, per target, an upper bound on the 2-norm
     condition of the scaled normal matrix G, tr(G) tr(G^-1), which is at
@@ -226,15 +181,17 @@ class JetOperator:
     """
 
     def __init__(self, points, config, targets=None):
-        pts = _as_points(points)
-        n_pts, dim = pts.shape
-        tgt = pts if targets is None else _as_points(targets)
-        exponents = monomial_exponents(dim, config.poly_order)
-        m = len(exponents)
+        pts = np.asarray(points, dtype=float)
+        tgt = pts if targets is None else np.asarray(targets, dtype=float)
+        if pts.ndim != 1 or tgt.ndim != 1:
+            raise ValueError(
+                f"points and targets must be 1D coordinate arrays, got "
+                f"shapes {pts.shape} and {tgt.shape}")
+        m = config.poly_order + 1
         nb = config.n_neighbors
-        if n_pts < nb:
+        if len(pts) < nb:
             raise TooFewPoints(
-                f"requested {nb} neighbors from {n_pts} points")
+                f"requested {nb} neighbors from {len(pts)} points")
         if nb < m:
             raise TooFewPoints(
                 f"{nb} neighbors cannot support {m} basis polynomials")
@@ -243,16 +200,15 @@ class JetOperator:
         # reaches the normal matrix, and the point set is IllConditioned
         with np.errstate(invalid="ignore"):
             self.neighbor_idx = _nearest(pts, tgt, nb)
-            offsets = pts[self.neighbor_idx] - tgt[:, None, :]
-            d2 = np.sum(offsets ** 2, axis=2)                # (nt, nb)
+            offsets = pts[self.neighbor_idx] - tgt[:, None]
+            d2 = offsets ** 2                                # (nt, nb)
 
             sigma = _neighbor_sigma(d2, config.weight_width)
 
             h = np.sqrt(d2).mean(axis=1)
             h[h == 0.0] = 1.0
-            scaled = offsets / h[:, None, None]
-            basis = _monomial_basis(scaled, exponents)       # (nt, nb, m)
-            a_mat = basis / sigma[:, :, None]
+            basis = _monomial_basis(offsets / h[:, None], m - 1)
+            a_mat = basis / sigma[:, :, None]                # (nt, nb, m)
             gram = np.matmul(np.transpose(a_mat, (0, 2, 1)), a_mat)
 
         # solve_map[n, s, k]: scaled coefficient s from neighbor value k
@@ -265,25 +221,14 @@ class JetOperator:
                 f"{CONDITION_LIMIT:.1e} at "
                 f"{int(np.sum(cond > CONDITION_LIMIT))} point(s)")
 
-        degrees = np.array([sum(e) for e in exponents], dtype=float)
-        unscale = h[:, None] ** -degrees[None, :]
-        self._rows = solve_map * unscale[:, :, None]         # (nt, m, nb)
-        self._exponents = exponents
-        self.dim = dim
+        # value a_0, d/dy a_1 / h and d2/dy2 2 a_2 / h^2: the three rows
+        # that apply reads
+        unscale = h[:, None] ** -np.arange(3.0)
+        unscale[:, 2] *= 2.0
+        self._rows = solve_map[:, :3] * unscale[:, :, None]  # (nt, 3, nb)
 
     def apply(self, values):
-        """Jets for one sampled function: (value, gradient, laplacian) arrays.
-
-        gradient has shape (n_targets, dim).
-        """
+        """Jets for one sampled function: (value, d/dy, d2/dy2) at the
+        targets, each of shape (n_targets,)."""
         vals = np.asarray(values, dtype=float)[self.neighbor_idx]
-        coeffs = np.einsum("nsk,nk->ns", self._rows, vals)
-        value = coeffs[:, 0]
-        grad = np.zeros((len(coeffs), self.dim))
-        lap = np.zeros(len(coeffs))
-        for s, e in enumerate(self._exponents):
-            if sum(e) == 1:
-                grad[:, e.index(1)] = coeffs[:, s]
-            elif sum(e) == 2 and 2 in e:
-                lap += 2.0 * coeffs[:, s]
-        return value, grad, lap
+        return tuple(np.einsum("nsk,nk->sn", self._rows, vals))

@@ -241,13 +241,13 @@ def test_criterion_7_order_checks():
     time_order = float(np.log2(rk4_err(32) / rk4_err(64)))
 
     resid = 0.0
-    y = np.linspace(-1.0, 1.0, 41).reshape(-1, 1)
+    y = np.linspace(-1.0, 1.0, 41)
     rng = np.random.default_rng(0)
     for order in (2, 3, 4, 5):
         coeff = rng.uniform(-1, 1, order + 1)
-        vals = np.polynomial.polynomial.polyval(y[:, 0], coeff)
+        vals = np.polynomial.polynomial.polyval(y, coeff)
         cfg = MwlsConfig(n_neighbors=2 * (order + 1), poly_order=order)
-        (value,), _, _ = JetOperator(y, cfg, targets=[[0.3]]).apply(vals)
+        (value,), _, _ = JetOperator(y, cfg, targets=[0.3]).apply(vals)
         resid = max(resid, abs(value - np.polynomial.polynomial
                                .polyval(0.3, coeff)))
 

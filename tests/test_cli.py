@@ -15,6 +15,7 @@ from slitsim.config import (RunSpec, load_config, parse_config,
 from slitsim.core import (MIN_POINTS, SOLVERS, ComplexField, MwlsConfig,
                           ScenarioConfig, UniformGrid, WavePacketParams)
 from slitsim.errors import ConfigError
+from slitsim.mwls import CONDITION_LIMIT, JetOperator
 
 FD_CFG = """\
 # one-particle interference, small scale
@@ -301,6 +302,27 @@ def test_run_hydro_euler_end_to_end(tmp_path):
     assert manifest["errors"]["snapshots"][-1]["max_v_error"] < 1e-5
 
 
+@pytest.mark.parametrize("solver", ["hydro_lagrange", "hydro_euler"])
+def test_manifest_records_the_mwls_condition(tmp_path, solver):
+    # each snapshot records the worst condition estimate of its operator;
+    # at t=0 both viewpoints use the operator of the grid
+    text = (HYDRO_CFG.replace("solver = hydro_lagrange", f"solver = {solver}")
+            + "snapshots = 0.0, 0.0005, 0.001\n")
+    cfg_path = _write(tmp_path, "hydro.cfg", text)
+    out = str(tmp_path / "runs")
+    assert cli.main(["run", cfg_path, "--out", out]) == 0
+    with open(os.path.join(out, "tiny_hydro", "manifest.json")) as fh:
+        manifest = json.load(fh)
+    conds = [s["mwls_max_condition"] for s in manifest["errors"]["snapshots"]]
+    cfg = load_config(cfg_path).config
+    grid_op = JetOperator(cfg.grid.axis(), cfg.mwls)
+    assert len(conds) == 3
+    assert conds[0] == float(grid_op.condition_estimates.max())
+    assert all(1.0 <= c < CONDITION_LIMIT for c in conds)
+    if solver == "hydro_euler":
+        assert len(set(conds)) == 1
+
+
 def test_run_qp_study(tmp_path):
     cfg_path = _write(tmp_path, "qp.cfg", QP_CFG)
     out = str(tmp_path / "runs")
@@ -315,6 +337,29 @@ def test_run_qp_study(tmp_path):
     orders = manifest["errors"]["orders"]
     assert orders["order2"]["max_error_near_node"] > \
         orders["order2"]["max_error_far_rel"]
+    # the plot loops over the order columns 3 and 4 of the csv
+    with open(os.path.join(run_dir, "plot.gp")) as fh:
+        assert "for [col=3:4]" in fh.read()
+
+
+@pytest.mark.parametrize("lo, hi, empty", [
+    (-0.4, 0.4, "max_error_far_rel"),      # no point with |y| >= 0.5
+    (0.6, 4.0, "max_error_near_node"),     # no point with |y| <= 0.2
+])
+def test_qp_study_reports_null_for_an_empty_region(tmp_path, lo, hi, empty):
+    text = (QP_CFG.replace("grid.lo = -4", f"grid.lo = {lo}")
+            .replace("grid.hi = 4", f"grid.hi = {hi}")
+            .replace("grid.n = 201", "grid.n = 41"))
+    cfg_path = _write(tmp_path, "qp.cfg", text)
+    out = str(tmp_path / "runs")
+    assert cli.main(["run", cfg_path, "--out", out]) == 0
+    with open(os.path.join(out, "tiny_qp", "manifest.json")) as fh:
+        orders = json.load(fh)["errors"]["orders"]
+    assert set(orders) == {"order2", "order3"}
+    for entry in orders.values():
+        assert entry[empty] is None
+        assert all(isinstance(v, float) for k, v in entry.items()
+                   if k != empty)
 
 
 def test_env_var_output_override(tmp_path, monkeypatch):

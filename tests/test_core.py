@@ -106,10 +106,11 @@ def test_norm_two_particle(boson_field):
 
 
 def test_mwls_config_basis_size():
-    c = MwlsConfig(n_neighbors=12, poly_order=5)
-    assert len(mwls.monomial_exponents(1, c.poly_order)) == 6
-    c2 = MwlsConfig(n_neighbors=12, poly_order=3)
-    assert len(mwls.monomial_exponents(2, c2.poly_order)) == 10
+    # poly_order + 1 basis powers: 6 neighbours fit order 5, 5 do not
+    y = np.linspace(0.0, 1.0, 20)
+    mwls.JetOperator(y, MwlsConfig(n_neighbors=6, poly_order=5))
+    with pytest.raises(TooFewPoints, match="support 6 basis"):
+        mwls.JetOperator(y, MwlsConfig(n_neighbors=5, poly_order=5))
 
 
 def test_mwls_config_underdetermined():

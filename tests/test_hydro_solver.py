@@ -38,7 +38,7 @@ def test_quantum_potential_from_jets(packet_field):
     ens = hydro_solver.init_from_exact(packet_field, y)
     op = JetOperator(y, CFG12)
     q, dg = hydro_solver.quantum_potential(op, ens.g)
-    assert np.array_equal(dg, op.apply(ens.g)[1][:, 0])
+    assert np.array_equal(dg, op.apply(ens.g)[1])
     q_exact = packet_field.quantum_potential(y, 0.0)
     assert np.abs(q - q_exact).max() < 1e-6
 
@@ -66,7 +66,7 @@ def test_lagrangian_bookkeeping():
     op = JetOperator(y, CFG12)
     out = hydro_solver.lagrangian_step(ens, dt, op)
     _, dv, _ = op.apply(v)
-    assert np.allclose(out.g - g, -0.5 * dt * dv[:, 0], atol=1e-15)
+    assert np.allclose(out.g - g, -0.5 * dt * dv, atol=1e-15)
     assert np.allclose(out.y - y, dt * v, atol=1e-15)
 
 
@@ -91,7 +91,7 @@ def test_engines_agree_on_smooth_data(packet_field):
     _, d_mwls, l_mwls = JetOperator(y, CFG12).apply(g)
     d_sten = fd_solver.gradient(g, grid)[0]
     l_sten = fd_solver.laplacian(g, grid)
-    assert np.abs(d_mwls[:, 0] - d_sten).max() < 1e-6
+    assert np.abs(d_mwls - d_sten).max() < 1e-6
     assert np.abs(l_mwls - l_sten).max() < 1e-4
 
 
@@ -123,6 +123,7 @@ def test_non_finite_step_ends_degraded(monkeypatch):
     assert snaps[-1].status == hydro_solver.DEGRADED
     assert diags[-1].status == hydro_solver.DEGRADED
     assert np.isnan(diags[-1].q_num).all()
+    assert diags[-1].mwls_max_condition is None
 
 
 def test_single_packet_refinement_ladder(packet_field):
