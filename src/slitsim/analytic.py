@@ -269,7 +269,6 @@ class Trajectory:
 
     times: np.ndarray          # shape (nt,), strictly increasing
     positions: np.ndarray      # shape (nt, dim)
-    provenance: str            # "exact", "fd", or "hydro"
     #: why an integrated path stopped before the end of its run:
     #: "incursion" (masked near-node stencil), "left_grid", or None
     stop_reason: str | None = None
@@ -304,8 +303,7 @@ def exact_trajectory(fld, starts, t_grid):
         k4 = fld.velocity_at(r + h * k3, t0 + h)
         r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         positions[:, k + 1] = r
-    return [Trajectory(times=t_grid.copy(), positions=p, provenance="exact")
-            for p in positions]
+    return [Trajectory(times=t_grid.copy(), positions=p) for p in positions]
 
 
 def sample_field(fld, grid, t):

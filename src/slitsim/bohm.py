@@ -6,16 +6,20 @@ form (psi_R grad psi_I - psi_I grad psi_R) / (psi_R^2 + psi_I^2) with the
 EPS_NODE times the instantaneous peak are masked as undefined (NaN). The
 stencils run only on the block of the grid that holds the unmasked
 points, which gives the same numbers as the whole grid. Off-grid
-values come from local cubic interpolation, and trajectories are RK4 with
-the velocity linearly interpolated in time between adjacent field steps.
-A family of trajectories is integrated as one stack: each RK4 stage is
-one interpolation call over every live trajectory, and the midpoint
-stages, which read the fields at both ends of the time step, set up the
-stencils once for the pair.
+values come from local cubic interpolation. A stencil that touches a
+masked point is replaced, in the same batched call, by the 4 nearest
+unmasked points around it, or gives NaN where too few are left.
+Trajectories are RK4 with the velocity linearly interpolated in time
+between adjacent field steps. A family of trajectories is integrated as
+one stack in a single pass over the solver's time lattice, holding only
+the fields at the two ends of the current step: each RK4 stage is one
+interpolation call over every live trajectory, and the midpoint stages,
+which read both fields, set up the stencils once for the pair.
 
 A trajectory that runs into a masked (near-node) region stops with the
 time of incursion instead of continuing on extrapolated velocities; one
-that leaves the grid stops with the time it left.
+that leaves the grid stops with the time it left. crossing_report lists
+the times and pairs at which a family breaks the no-crossing property.
 """
 
 from dataclasses import dataclass
@@ -98,65 +102,34 @@ def _lagrange_eval(weights, ys):
     return total
 
 
-def _interp_1d_line(values, mask, grid, x):
-    """Cubic interpolation along a 1D array with near-node masking.
-
-    Uses the 4 nearest grid points; if the nominal stencil is majority
-    masked, or fewer than 4 unmasked points exist among the 6 nearest,
-    returns NaN. A minority of masked points is replaced by the nearest
-    unmasked ones.
-    """
-    base = _stencil_base(grid, x)
-    idx = np.arange(base, base + 4)
-    masked = mask[idx]
-    if masked.sum() >= 3:
-        return np.nan
-    if masked.any():
-        lo = max(base - 1, 0)
-        hi = min(base + 5, grid.n)
-        window = np.arange(lo, hi)
-        window = window[~mask[window]]
-        if len(window) < 4:
-            return np.nan
-        coords = grid.lo + window * grid.delta
-        order = np.argsort(np.abs(coords - x), kind="stable")[:4]
-        idx = np.sort(window[order])
-    xs = grid.lo + idx * grid.delta
-    return _lagrange_eval(_lagrange_weights(xs, x), values[idx])
-
-
 def _stencil_base(grid, x):
     """First index of the 4-point stencil around x (array or scalar)."""
     i = np.floor((x - grid.lo) / grid.delta).astype(int)
     return np.minimum(np.maximum(i - 1, 0), grid.n - 4)
 
 
-def _interp_masked(vf, pt):
-    """Velocity at one point whose stencil touches a masked grid point.
+def _stencils(mask, start, x, grid):
+    """Stencils along grid lines, shape (m, r, 4), that skip masked points.
 
-    The minority-masked fallback of _interp_1d_line, row by row in 2D;
-    NaN where the stencil is majority-masked (a NaN row value carries
-    through the column pass).
+    mask is the flat grid mask and start the flat index of the first
+    point of the r lines read at each of the m coordinates x (0 in 1D).
+    A line keeps its nominal stencil where none of it is masked; else it
+    takes the 4 nearest unmasked of the 6 points around x, the lower index
+    first at equal distance. ok (m, r) is False where the nominal stencil
+    is majority-masked or fewer than 4 are left; such lines keep the
+    nominal stencil, so that their weights stay finite.
     """
-    grid = vf.grid
-    if grid.dim == 1:
-        return np.array([
-            _interp_1d_line(vf.components[0], vf.mask, grid, pt[0])])
-
-    # 2D: separable pass, rows (axis 0) chosen around y1, each row
-    # interpolated along axis 1 with its own mask handling.
-    y1, y2 = pt
-    base1 = _stencil_base(grid, y1)
-    rows = np.arange(base1, base1 + 4)
-    if vf.mask[rows].all(axis=1).sum() >= 3:
-        return np.full(2, np.nan)
-    w1 = _lagrange_weights(grid.lo + rows * grid.delta, y1)
-    out = np.empty(2)
-    for c, comp in enumerate(vf.components):
-        row_vals = np.array([
-            _interp_1d_line(comp[r], vf.mask[r], grid, y2) for r in rows])
-        out[c] = _lagrange_eval(w1, row_vals)
-    return out
+    win = _stencil_base(grid, x)[:, None, None] + np.arange(-1, 5)
+    inside = (win >= 0) & (win < grid.n)
+    win = np.clip(win, 0, grid.n - 1)
+    free = ~mask[start + win] & inside
+    n_free = free[..., 1:5].sum(axis=-1)
+    ok = (n_free > 1) & (free.sum(axis=-1) >= 4)
+    dist = np.where(free, np.abs(grid.lo + win * grid.delta
+                                 - x[:, None, None]), np.inf)
+    near = np.sort(np.argsort(dist, axis=-1, kind="stable")[..., :4], axis=-1)
+    pick = np.where(((n_free == 4) | ~ok)[..., None], np.arange(1, 5), near)
+    return np.take_along_axis(win, pick, axis=-1), ok
 
 
 def _inside(grid, points):
@@ -167,11 +140,15 @@ def _inside(grid, points):
 def interpolate_velocity(vf, points):
     """Velocity at off-grid points by local cubic interpolation.
 
-    points is a stack of shape (m, dim); the result has shape (m, dim),
-    with a NaN row for each point whose stencil is majority-masked.
-    Points outside the grid raise OutsideGrid. vf may also be a tuple of
-    VelocityFields on one grid: the stencils and weights are then set up
-    once, and the result is a tuple with one array per field.
+    points is a stack of shape (m, dim); the result has shape (m, dim).
+    The last axis is interpolated along lines: the grid in 1D, in 2D the
+    4 rows of each point's stencil, which a column pass then combines.
+    Where a stencil touches a masked point, every line takes its stencil
+    from _stencils; an unusable line is NaN and a NaN row carries through
+    the column pass. Points outside the grid raise OutsideGrid. vf may
+    also be a tuple of VelocityFields on one grid: the nominal stencils
+    and weights are then set up once, and the result is a tuple with one
+    array per field.
     """
     single = isinstance(vf, VelocityField)
     fields = (vf,) if single else vf
@@ -181,67 +158,52 @@ def interpolate_velocity(vf, points):
     if not inside.all():
         raise OutsideGrid(f"point {pts[~inside][0]} outside the grid")
 
-    # All stencils at once: indices and weights (m, 4) per axis, values
-    # (m, 4[, 4]). In 2D the row pass runs along axis 1 for all m x 4
-    # rows, then one column pass along axis 0, as in _interp_masked.
-    idx = [_stencil_base(grid, pts[:, a])[:, None] + np.arange(4)
-           for a in range(grid.dim)]
-    w = [_lagrange_weights(grid.lo + i * grid.delta, pts[:, a])
-         for a, i in enumerate(idx)]
-    block = (idx[0],) if grid.dim == 1 else (idx[0][:, :, None],
-                                              idx[1][:, None, :])
+    # stencils (m, 1, 4) along the lines; start: flat index of line starts
+    x = pts[:, -1]
+    cols = _stencil_base(grid, x)[:, None, None] + np.arange(4)
+    w = _lagrange_weights(grid.lo + cols * grid.delta, x[:, None])
+    start = 0
+    if grid.dim == 2:
+        rows = _stencil_base(grid, pts[:, 0])[:, None] + np.arange(4)
+        w_rows = _lagrange_weights(grid.lo + rows * grid.delta, pts[:, 0])
+        start = rows[..., None] * grid.n
+    nominal = start + cols
     outs = []
     for fld in fields:
+        mask = fld.mask.ravel()
+        flat, w_line = nominal, w
+        if mask[nominal].any():
+            idx, ok = _stencils(mask, start, x, grid)
+            flat = start + idx
+            w_line = _lagrange_weights(grid.lo + idx * grid.delta, x[:, None])
+            w_line[~ok] = np.nan
         out = np.empty(pts.shape)
         for c, comp in enumerate(fld.components):
-            vals = comp[block]
-            if grid.dim == 2:
-                vals = _lagrange_eval(w[1][:, None, :], vals)
-            out[:, c] = _lagrange_eval(w[0], vals)
-
-        touched = fld.mask[block].reshape(len(pts), -1).any(axis=1)
-        for i in np.flatnonzero(touched):
-            out[i] = _interp_masked(fld, pts[i])
+            vals = _lagrange_eval(w_line, comp.ravel()[flat])
+            out[:, c] = (vals[:, 0] if grid.dim == 1
+                         else _lagrange_eval(w_rows, vals))
         outs.append(out)
     return outs[0] if single else tuple(outs)
 
 
 class FdFieldProvider:
-    """Velocity fields on the solver's time lattice, computed lazily.
+    """The solver's time lattice as (ComplexField, VelocityField) pairs.
 
-    Steps the finite-difference solver one dt at a time and caches the
-    velocity fields at the two most recent lattice times, which is all the
-    time-interpolation scheme needs.
+    Iterating steps the finite-difference solver one dt at a time from
+    the initial field and yields the pair at k*dt for k = 0 ... n_steps;
+    nothing is kept between steps.
     """
 
     def __init__(self, initial_field, dt, n_steps):
+        self.initial_field = initial_field
         self.dt = dt
         self.n_steps = n_steps
-        self._iter = fd_solver.iterate(initial_field, dt, n_steps)
-        self._cache = {0: velocity_field(initial_field, 0.0)}
-        self._fields = {0: initial_field}
-        self._last = 0
 
-    def field_at(self, k):
-        self.at(k)
-        return self._fields[k]
-
-    def at(self, k):
-        """VelocityField at lattice index k (k*dt)."""
-        if k > self.n_steps:
-            raise IndexError(f"lattice index {k} beyond the run")
-        while self._last < k:
-            t, fld = next(self._iter)
-            self._last += 1
-            self._cache[self._last] = velocity_field(fld, t)
-            self._fields[self._last] = fld
-            for old in [i for i in self._cache if i < self._last - 1]:
-                del self._cache[old]
-                del self._fields[old]
-        if k not in self._cache:
-            raise IndexError(
-                f"lattice index {k} no longer cached (monotone access only)")
-        return self._cache[k]
+    def __iter__(self):
+        yield self.initial_field, velocity_field(self.initial_field, 0.0)
+        for t, fld in fd_solver.iterate(self.initial_field, self.dt,
+                                        self.n_steps):
+            yield fld, velocity_field(fld, t)
 
 
 def _rk4_stack(r, dt, va, vb):
@@ -282,13 +244,14 @@ def _rk4_stack(r, dt, va, vb):
     return live, left, r + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
 
 
-def integrate_family(provider, starts, provenance="fd",
-                     snapshot_indices=()):
+def integrate_family(provider, starts, snapshot_indices=()):
     """Integrate several trajectories in one pass over the field lattice.
 
-    RK4 with the velocity at substage times linearly interpolated between
-    the two adjacent lattice velocity fields; each stage is one
-    interpolation call over every live trajectory.
+    provider is an iterable of (field, VelocityField) pairs on the time
+    lattice k*dt, with attributes dt and n_steps. RK4 with the velocity
+    at substage times linearly interpolated between the two adjacent
+    lattice velocity fields; each stage is one interpolation call over
+    every live trajectory.
 
     Returns (results, fields) where results is a list of
     (Trajectory, incursion_time_or_None) pairs and fields maps each
@@ -297,12 +260,11 @@ def integrate_family(provider, starts, provenance="fd",
     that step rather than aborting the whole family; its stop_reason says
     which ("incursion" or "left_grid").
     """
-    dt = provider.dt
-    n = provider.n_steps
+    dt, n = provider.dt, provider.n_steps
     snapshot_indices = set(snapshot_indices)
-    fields = {}
-    if 0 in snapshot_indices:
-        fields[0] = provider.field_at(0)
+    lattice = iter(provider)
+    field, va = next(lattice)
+    fields = {0: field} if 0 in snapshot_indices else {}
     last_snapshot = max(snapshot_indices, default=0)
 
     m = len(starts)
@@ -317,8 +279,7 @@ def integrate_family(provider, starts, provenance="fd",
     for k in range(n):
         if not len(live) and k >= last_snapshot:
             break
-        va = provider.at(k)
-        vb = provider.at(k + 1)
+        field, vb = next(lattice)
         if len(live):
             done, left, r_new = _rk4_stack(r[live], dt, va, vb)
             for j in live[left]:
@@ -331,39 +292,28 @@ def integrate_family(provider, starts, provenance="fd",
             positions[live, k + 1] = r_new
             steps[live] = k + 1
         if k + 1 in snapshot_indices:
-            fields[k + 1] = provider.field_at(k + 1)
+            fields[k + 1] = field
+        va = vb
 
     results = []
     for j in range(m):
         times = np.arange(steps[j] + 1) * dt
         results.append((Trajectory(times=times,
                                    positions=positions[j, :steps[j] + 1],
-                                   provenance=provenance,
                                    stop_reason=stop[j]), incursion[j]))
     return results, fields
 
 
-@dataclass(frozen=True)
-class CrossingReport:
-    """Order-preservation / coincidence check over a trajectory family."""
-
-    violations: tuple      # (time, index_a, index_b) triples
-    n_trajectories: int
-
-    @property
-    def ok(self):
-        return not self.violations
-
-
 def crossing_report(trajectories, min_separation=0.0):
-    """Check the no-crossing property over a family of trajectories.
+    """Violations of the no-crossing property over a family of trajectories.
 
     1D: trajectories sorted by initial position must preserve their order
     at every recorded time. 2D: no two trajectories may come within
     min_separation of the same configuration point at the same time.
+    Returns a tuple of (time, index_a, index_b) triples, empty if none.
     """
     if not trajectories:
-        return CrossingReport(violations=(), n_trajectories=0)
+        return ()
     t0 = trajectories[0].times
     for tr in trajectories:
         if len(tr.times) != len(t0) or np.any(tr.times != t0):
@@ -387,5 +337,4 @@ def crossing_report(trajectories, min_separation=0.0):
                 for b in range(a + 1, n):
                     if np.linalg.norm(pts[a] - pts[b]) <= min_separation:
                         violations.append((float(t), a, b))
-    return CrossingReport(violations=tuple(violations),
-                          n_trajectories=len(trajectories))
+    return tuple(violations)

@@ -167,11 +167,11 @@ def run_fd(spec, out_dir):
 
     crossings = None
     if results:
-        report = bohm.crossing_report(
+        violations = bohm.crossing_report(
             [results[j][0] for j in complete],
             min_separation=cfg.grid.delta / 10.0)
-        crossings = {"n_violations": len(report.violations),
-                     "n_trajectories_checked": report.n_trajectories}
+        crossings = {"n_violations": len(violations),
+                     "n_trajectories_checked": len(complete)}
 
     status = "Valid" if norm_drift <= fd_solver.NORM_TOLERANCE else "Degraded"
     errors = {

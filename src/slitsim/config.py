@@ -8,14 +8,14 @@ One `key = value` pair per line, `#` starts a comment. Keys:
     exchange_sign       +1 | -1
     field.kind          one_particle/two_particle by default; single_packet
                         selects the isolated-Gaussian control field
-    packet.Y  packet.sigma0  packet.kx
+    packet.Y  packet.sigma0
     grid.lo  grid.hi  grid.n
     t_final  n_steps
     solver              schrodinger_fd | hydro_lagrange | hydro_euler
     mwls.neighbors  mwls.order  mwls.width
-    mwls.orders         comma list, qp_study mode only
+    mwls.orders         comma list of orders >= 2, qp_study mode only
     trajectory.starts   semicolon-separated tuples, e.g. "1,-0.6; 1,-1.4"
-    snapshots           comma-separated times
+    snapshots           comma-separated times in [0, t_final]
     out.dir             output directory (overridden by $SLITSIM_OUT)
 """
 
@@ -27,7 +27,7 @@ from .errors import ConfigError
 
 _KNOWN_KEYS = {
     "scenario", "mode", "particles", "exchange_sign", "field.kind",
-    "packet.Y", "packet.sigma0", "packet.kx",
+    "packet.Y", "packet.sigma0",
     "grid.lo", "grid.hi", "grid.n", "t_final", "n_steps", "solver",
     "mwls.neighbors", "mwls.order", "mwls.width", "mwls.orders",
     "trajectory.starts", "snapshots", "out.dir",
@@ -42,6 +42,12 @@ class RunSpec:
     mode: str = "propagate"
     qp_orders: tuple = ()
     out_dir: str = "runs"
+
+    def __post_init__(self):
+        if self.mode == "qp_study" and self.config.field_dim != 1:
+            raise ValueError("the qp study is one-dimensional only")
+        if any(order < 2 for order in self.qp_orders):
+            raise ValueError("mwls.orders must be >= 2")
 
 
 def _parse_pairs(text):
@@ -125,7 +131,6 @@ def parse_config(text):
         packet = WavePacketParams(
             Y=get("packet.Y", float, 1.0),
             sigma0=get("packet.sigma0", float, 0.2),
-            kx=get("packet.kx", float, 0.1),
             particles=particles,
             exchange_sign=get("exchange_sign", int, +1),
         )
@@ -137,7 +142,7 @@ def parse_config(text):
         )
         mwls = None
         if "mwls.neighbors" in pairs or "mwls.order" in pairs \
-                or solver != "schrodinger_fd":
+                or solver != "schrodinger_fd" or mode == "qp_study":
             mwls = MwlsConfig(
                 n_neighbors=get("mwls.neighbors", int, 12),
                 poly_order=get("mwls.order", int, 5),
@@ -159,15 +164,14 @@ def parse_config(text):
             scenario=get("scenario", str, ""),
             field_kind=field_kind,
         )
+        return RunSpec(
+            config=config,
+            mode=mode,
+            qp_orders=get("mwls.orders", _parse_ints, ()),
+            out_dir=get("out.dir", str, "runs"),
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    return RunSpec(
-        config=config,
-        mode=mode,
-        qp_orders=get("mwls.orders", _parse_ints, ()),
-        out_dir=get("out.dir", str, "runs"),
-    )
 
 
 def load_config(path):

@@ -27,14 +27,12 @@ class WavePacketParams:
 
     Y : half-separation of the slits
     sigma0 : initial packet width
-    kx : longitudinal wave number (plane-wave factor, handled analytically)
     particles : 1 or 2
     exchange_sign : +1 boson / -1 fermion, meaningful only for particles=2
     """
 
     Y: float = 1.0
     sigma0: float = 0.2
-    kx: float = 0.1
     particles: int = 1
     exchange_sign: int = +1
 
@@ -182,12 +180,24 @@ class ScenarioConfig:
             raise ValueError("n_steps must be >= 1")
         if self.t_final <= 0:
             raise ValueError("t_final must be positive")
+        if self.solver != "schrodinger_fd" and self.field_dim != 1:
+            raise ValueError("hydrodynamic runs are one-dimensional only")
         for start in self.trajectory_starts:
             if not self.grid.contains(start):
                 raise ValueError(
                     f"trajectory start {start} lies outside the grid")
+        for t in self.snapshot_times:
+            if not 0.0 <= t <= self.t_final:
+                raise ValueError(
+                    f"snapshot time {t} lies outside [0, t_final]")
         if self.solver != "schrodinger_fd" and self.mwls is None:
             object.__setattr__(self, "mwls", MwlsConfig())
+
+    @property
+    def field_dim(self):
+        """Configuration-space dimension of the field: 1 or 2."""
+        return 1 if self.field_kind == "single_packet" else \
+            self.packet.particles
 
     @property
     def dt(self):

@@ -193,9 +193,6 @@ def propagate_hydro(config, points=None):
     if config.solver not in ("hydro_lagrange", "hydro_euler"):
         raise ValueError(f"not a hydrodynamic solver: {config.solver}")
     field = analytic.field_for(config.packet, config.field_kind)
-    if field.dim != 1:
-        raise ValueError("hydrodynamic runs are one-dimensional only")
-
     if points is None:
         points = config.grid.axis()
     else:

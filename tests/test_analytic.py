@@ -174,13 +174,12 @@ def test_field_dispatch():
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         analytic.Trajectory(times=np.array([0.0, 0.0]),
-                            positions=np.zeros((2, 1)), provenance="exact")
+                            positions=np.zeros((2, 1)))
     with pytest.raises(ValueError):
         analytic.Trajectory(times=np.array([0.0, 1.0]),
-                            positions=np.zeros(2), provenance="exact")
+                            positions=np.zeros(2))
     traj = analytic.Trajectory(times=np.array([0.0, 1.0]),
-                               positions=np.zeros((2, 2)),
-                               provenance="exact")
+                               positions=np.zeros((2, 2)))
     assert traj.dim == 2
 
 

@@ -1,5 +1,7 @@
 """Velocity fields, interpolation, and trajectory integration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -152,7 +154,6 @@ def test_trajectory_endpoint_similarity():
     fld, provider = _packet_provider(n=521)
     traj = _solo(provider, (1.2,))
     assert traj.positions[-1, 0] == pytest.approx(3.507987240797, abs=1e-3)
-    assert traj.provenance == "fd"
     assert len(traj.times) == 1001
 
 
@@ -200,29 +201,16 @@ def test_dt_refinement():
     assert errs[1] < errs[0]
 
 
-def test_provider_monotone_access():
-    _, provider = _packet_provider(n_steps=20)
-    provider.at(5)
-    provider.at(5)   # cached
-    with pytest.raises(IndexError):
-        provider.at(2)
-    with pytest.raises(IndexError):
-        provider.at(21)
-
-
 class _FrozenProvider:
-    """Duck-typed provider returning one fixed velocity field."""
+    """Duck-typed provider: one fixed velocity field at every step."""
 
     def __init__(self, vf, dt, n_steps):
         self._vf = vf
         self.dt = dt
         self.n_steps = n_steps
 
-    def at(self, k):
-        return self._vf
-
-    def field_at(self, k):
-        return None
+    def __iter__(self):
+        return iter([(None, self._vf)] * (self.n_steps + 1))
 
 
 def test_family_truncates_on_node_incursion():
@@ -272,25 +260,22 @@ def test_crossing_report_exact_fan(one_field):
     t_grid = np.linspace(0.0, 1.0, 101)
     starts = np.linspace(0.2, 1.8, 10)
     trajs = analytic.exact_trajectory(one_field, starts[:, None], t_grid)
-    report = bohm.crossing_report(trajs)
-    assert report.ok
-    assert report.violations == ()
+    assert bohm.crossing_report(trajs) == ()
 
 
 def test_crossing_report_flags_identical_starts(one_field):
     t_grid = np.linspace(0.0, 0.1, 11)
     tr, = analytic.exact_trajectory(one_field, [(0.7,)], t_grid)
-    report = bohm.crossing_report([tr, tr], min_separation=1e-6)
-    assert not report.ok
-    assert len(report.violations) > 0
+    violations = bohm.crossing_report([tr, tr], min_separation=1e-6)
+    assert len(violations) == len(t_grid)
+    assert all(v[1:] == (0, 1) for v in violations)
 
 
 def test_crossing_report_2d_separation(boson_field):
     t_grid = np.linspace(0.0, 0.05, 6)
     t1, t2 = analytic.exact_trajectory(boson_field, [(1.0, -0.6)] * 2,
                                        t_grid)
-    report = bohm.crossing_report([t1, t2], min_separation=1e-3)
-    assert not report.ok
+    assert bohm.crossing_report([t1, t2], min_separation=1e-3)
 
 
 # -- batched integration: a stack gives the bits of its members alone ------
@@ -383,18 +368,9 @@ def test_interpolation_outside_grid_raises_for_a_stack():
         bohm.interpolate_velocity(vf, np.array([[0.1], [np.nan]]))
 
 
-def test_interpolating_a_pair_equals_each_field_alone(monkeypatch):
-    # the two fields mask different points, so each takes the minority
-    # fallback (_interp_masked) at its own stencils
-    fallback_fields = []
-    fallback = bohm._interp_masked
-
-    def recording_fallback(vf, pt):
-        fallback_fields.append(vf)
-        return fallback(vf, pt)
-
-    monkeypatch.setattr(bohm, "_interp_masked", recording_fallback)
-
+def test_interpolating_a_pair_equals_each_field_alone():
+    # the two fields mask different points, so each takes the masked
+    # stencils at its own points
     g1 = UniformGrid(-2.0, 2.0, 41)
     mask_a = np.zeros(41, dtype=bool)
     mask_a[20] = True
@@ -421,12 +397,106 @@ def test_interpolating_a_pair_equals_each_field_alone(monkeypatch):
                     [-1.45, -1.45], [1.9, -1.95]])
 
     for pair, p in ((pair_1d, xs), (pair_2d, pts)):
-        fallback_fields.clear()
+        assert all(_touched(vf, p).any() for vf in pair)
+        assert not np.array_equal(_touched(pair[0], p), _touched(pair[1], p))
         out = bohm.interpolate_velocity(pair, p)
-        assert all(any(f is vf for f in fallback_fields) for vf in pair)
         assert len(out) == 2
         for vf, o in zip(pair, out):
             assert np.array_equal(o, bohm.interpolate_velocity(vf, p),
                                   equal_nan=True)
     # the block masked only in the second field
     assert np.isnan(out[1][3]).all() and not np.isnan(out[0][3]).any()
+
+
+# -- the masked stencils against a per-point reference ----------------------
+
+def _reference_line(values, mask, grid, x):
+    """Cubic interpolation at x along one grid line, one point at a time:
+    the nominal stencil if none of it is masked, NaN if most of it is,
+    else the 4 unmasked points nearest x among the 6 around it (the lower
+    index first at equal distance), NaN if fewer than 4 are left."""
+    base = bohm._stencil_base(grid, x)
+    idx = np.arange(base, base + 4)
+    masked = mask[idx]
+    if masked.sum() >= 3:
+        return np.nan
+    if masked.any():
+        window = np.arange(max(base - 1, 0), min(base + 5, grid.n))
+        window = window[~mask[window]]
+        if len(window) < 4:
+            return np.nan
+        coords = grid.lo + window * grid.delta
+        order = np.argsort(np.abs(coords - x), kind="stable")[:4]
+        idx = np.sort(window[order])
+    xs = grid.lo + idx * grid.delta
+    return bohm._lagrange_eval(bohm._lagrange_weights(xs, x), values[idx])
+
+
+def _reference_point(vf, pt):
+    """Velocity at one point: _reference_line on the grid in 1D; in 2D on
+    each of the 4 rows around pt[0], then the nominal column pass, NaN if
+    3 or more of the rows are wholly masked."""
+    grid = vf.grid
+    if grid.dim == 1:
+        return np.array([_reference_line(vf.components[0], vf.mask, grid,
+                                         pt[0])])
+    y1, y2 = pt
+    base1 = bohm._stencil_base(grid, y1)
+    rows = np.arange(base1, base1 + 4)
+    if vf.mask[rows].all(axis=1).sum() >= 3:
+        return np.full(2, np.nan)
+    w1 = bohm._lagrange_weights(grid.lo + rows * grid.delta, y1)
+    return np.array([
+        bohm._lagrange_eval(w1, np.array([
+            _reference_line(comp[r], vf.mask[r], grid, y2) for r in rows]))
+        for comp in vf.components])
+
+
+def _touched(vf, pts):
+    """Mask over pts of the points whose nominal stencil holds a masked
+    grid point."""
+    grid = vf.grid
+    idx = [bohm._stencil_base(grid, pts[:, a])[:, None] + np.arange(4)
+           for a in range(grid.dim)]
+    block = vf.mask[idx[0]] if grid.dim == 1 else \
+        vf.mask[idx[0][:, :, None], idx[1][:, None, :]]
+    return block.reshape(len(pts), -1).any(axis=1)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_masked_stencils_equal_the_per_point_reference(dim):
+    # random masks, on-node coordinates and the grid ends; in 2D also
+    # blocks of 3 wholly masked rows. Every other grid has a spacing of
+    # 1/8, so that on-node points tie exactly in distance. No line that
+    # ends NaN may reach the weights with repeated nodes (a
+    # RuntimeWarning, raised here).
+    rng = np.random.default_rng(7)
+    finite = nan = majority_rows = 0
+    for trial in range(150):
+        n = int(rng.integers(11, 30))
+        hi = (n - 9) / 8.0 if trial % 2 else 1.0 + rng.random()
+        g = UniformGrid(-1.0, hi, n, dim)
+        mask = rng.random(g.shape) < rng.choice([0.05, 0.2, 0.5])
+        if dim == 2 and trial % 3 == 0:
+            mask[rng.integers(0, n - 3):][:3] = True
+        comps = tuple(np.where(mask, np.nan, rng.standard_normal(g.shape))
+                      for _ in range(dim))
+        vf = bohm.VelocityField(grid=g, t=0.0, components=comps, mask=mask)
+        pts = rng.uniform(g.lo, g.hi, (40, dim))
+        on_node = rng.random(pts.shape) < 0.3
+        pts[on_node] = g.axis()[rng.integers(0, n, on_node.sum())]
+        pts[:2] = [[g.lo] * dim, [g.hi] * dim]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = bohm.interpolate_velocity(vf, pts)
+            ref = np.array([_reference_point(vf, pt) for pt in pts])
+        assert np.array_equal(out, ref, equal_nan=True)
+        touched = _touched(vf, pts)
+        is_nan = np.isnan(ref).any(axis=1)
+        finite += (touched & ~is_nan).sum()
+        nan += (touched & is_nan).sum()
+        if dim == 2:
+            rows = bohm._stencil_base(g, pts[:, 0])[:, None] + np.arange(4)
+            majority_rows += (mask.all(axis=1)[rows].sum(axis=1) >= 3).sum()
+    assert finite > 0 and nan > 0
+    assert dim == 1 or majority_rows > 0

@@ -147,6 +147,11 @@ def _run_specs(draw):
     field_kind = draw(st.sampled_from(("", "single_packet")))
     particles = draw(st.sampled_from((1, 2)))
     dim = 1 if field_kind else particles
+    # hydro runs and qp studies are one-dimensional only
+    solver = draw(st.sampled_from(SOLVERS if dim == 1 else SOLVERS[:1]))
+    mode = draw(st.sampled_from(("propagate", "qp_study") if dim == 1
+                                else ("propagate",)))
+    t_final = draw(st.floats(1e-4, 10.0))
     lo = draw(st.floats(-20.0, 0.0))
     hi = draw(st.floats(0.5, 20.0))
     coord = st.floats(lo, hi, exclude_min=True, exclude_max=True)
@@ -157,21 +162,20 @@ def _run_specs(draw):
     config = ScenarioConfig(
         packet=WavePacketParams(
             Y=draw(st.floats(0.1, 5.0)), sigma0=draw(st.floats(0.01, 2.0)),
-            kx=draw(st.floats(-5.0, 5.0)), particles=particles,
+            particles=particles,
             exchange_sign=draw(st.sampled_from((1, -1)))),
         grid=UniformGrid(lo, hi, draw(st.integers(MIN_POINTS, 400)), dim),
-        t_final=draw(st.floats(1e-4, 10.0)),
+        t_final=t_final,
         n_steps=draw(st.integers(1, 20000)),
-        solver=draw(st.sampled_from(SOLVERS)),
+        solver=solver,
         trajectory_starts=tuple(draw(st.lists(
             st.tuples(*[coord] * dim), max_size=4))),
         mwls=mwls,
-        snapshot_times=tuple(draw(st.lists(st.floats(0.0, 10.0),
+        snapshot_times=tuple(draw(st.lists(st.floats(0.0, t_final),
                                            max_size=4))),
         scenario=draw(st.text(max_size=12)),
         field_kind=field_kind)
-    return RunSpec(config=config,
-                   mode=draw(st.sampled_from(("propagate", "qp_study"))),
+    return RunSpec(config=config, mode=mode,
                    qp_orders=tuple(draw(st.lists(st.integers(2, 7),
                                                  max_size=4))))
 
@@ -342,6 +346,15 @@ def test_run_qp_study(tmp_path):
         assert "for [col=3:4]" in fh.read()
 
 
+def test_qp_study_takes_the_default_mwls_with_any_solver(tmp_path):
+    text = QP_CFG.replace("solver = hydro_lagrange", "solver = schrodinger_fd")
+    spec = parse_config(text)
+    assert spec.config.mwls == MwlsConfig()
+    out = str(tmp_path / "runs")
+    assert cli.main(["run", _write(tmp_path, "qp.cfg", text),
+                     "--out", out]) == 0
+
+
 @pytest.mark.parametrize("lo, hi, empty", [
     (-0.4, 0.4, "max_error_far_rel"),      # no point with |y| >= 0.5
     (0.6, 4.0, "max_error_near_node"),     # no point with |y| <= 0.2
@@ -464,22 +477,39 @@ def test_underdetermined_mwls_is_an_error(tmp_path, capsys):
     assert "error: 4 neighbors cannot support 6 basis polynomials" in err
 
 
-@pytest.mark.parametrize("old, new, message", [
-    ("mwls.order = 5", "mwls.order = 1", "poly_order must be >= 2"),
-    ("mwls.order = 5", "mwls.order = 5\nmwls.width = -1",
+@pytest.mark.parametrize("text, old, new, message", [
+    (HYDRO_CFG, "mwls.order = 5", "mwls.order = 1",
+     "poly_order must be >= 2"),
+    (HYDRO_CFG, "mwls.order = 5", "mwls.order = 5\nmwls.width = -1",
      'weight_width must be positive or "auto"'),
-    ("mwls.order = 5", "mwls.order = 5\nmwls.width = abc",
+    (HYDRO_CFG, "mwls.order = 5", "mwls.order = 5\nmwls.width = abc",
      "line 11: bad value for 'mwls.width'"),
-    ("grid.n = 201", "grid.n = 201\npacket.sigma0 = -1",
+    (HYDRO_CFG, "grid.n = 201", "grid.n = 201\npacket.sigma0 = -1",
      "sigma0 must be positive"),
-    ("grid.n = 201", "grid.n = 201\nexchange_sign = 3",
+    (HYDRO_CFG, "grid.n = 201", "grid.n = 201\nexchange_sign = 3",
      "exchange_sign must be +1 or -1"),
-    ("grid.hi = 3", "grid.hi = -2", "hi must exceed lo"),
+    (HYDRO_CFG, "grid.hi = 3", "grid.hi = -2", "hi must exceed lo"),
+    (FD_CFG, "snapshots = 0.0, 0.025", "snapshots = 0.0, 0.5",
+     "snapshot time 0.5 lies outside [0, t_final]"),
+    (FD_CFG, "snapshots = 0.0, 0.025", "snapshots = -0.01",
+     "snapshot time -0.01 lies outside [0, t_final]"),
+    (HYDRO_CFG, "n_steps = 100", "n_steps = 100\nsnapshots = 0.5",
+     "snapshot time 0.5 lies outside [0, t_final]"),
+    (HYDRO_CFG, "field.kind = single_packet", "particles = 2",
+     "hydrodynamic runs are one-dimensional only"),
+    (QP_CFG, "solver = hydro_lagrange", "solver = schrodinger_fd\n"
+     "particles = 2", "the qp study is one-dimensional only"),
+    (QP_CFG, "mwls.orders = 2, 3", "mwls.orders = 1, 3",
+     "mwls.orders must be >= 2"),
+    (FD_CFG, "grid.n = 131", "grid.n = 131\npacket.kx = 0.1",
+     "line 7: unknown key 'packet.kx'"),
 ], ids=["order", "negative_width", "text_width", "sigma0", "exchange_sign",
-        "interval"])
-def test_invalid_config_value_is_an_error(tmp_path, capsys, old, new,
+        "interval", "late_snapshot", "negative_snapshot",
+        "late_hydro_snapshot", "two_particle_hydro", "two_particle_qp",
+        "qp_order", "packet_kx"])
+def test_invalid_config_value_is_an_error(tmp_path, capsys, text, old, new,
                                           message):
-    cfg_path = _write(tmp_path, "bad.cfg", HYDRO_CFG.replace(old, new))
+    cfg_path = _write(tmp_path, "bad.cfg", text.replace(old, new))
     assert cli.main(["run", cfg_path, "--out", str(tmp_path / "runs")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
@@ -498,10 +528,19 @@ def _manifest_text(errors):
                        "status": "Valid", "errors": errors})
 
 
+def _manifest_with_kx():
+    """A manifest whose packet still records the removed kx."""
+    manifest = json.loads(_manifest_text({}))
+    manifest["config"]["packet"]["kx"] = 0.1
+    return json.dumps(manifest)
+
+
 @pytest.mark.parametrize("text", [
     "not json", '{"config": {}}', "[]", _manifest_text([]),
     _manifest_text({"trajectories": [{"start": [0.8]}]}),
-], ids=["not_json", "no_packet", "list", "errors_list", "no_max_deviation"])
+    _manifest_with_kx(),
+], ids=["not_json", "no_packet", "list", "errors_list", "no_max_deviation",
+        "packet_kx"])
 def test_compare_unreadable_manifest_is_an_error(tmp_path, capsys, text):
     path = _write(tmp_path, "manifest.json", text)
     assert cli.main(["compare", path]) == 1

@@ -13,7 +13,6 @@ def test_packet_defaults():
     p = WavePacketParams()
     assert p.Y == 1.0
     assert p.sigma0 == 0.2
-    assert p.kx == 0.1
     assert p.particles == 1
     assert p.exchange_sign == +1
 

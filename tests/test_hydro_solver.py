@@ -197,7 +197,6 @@ def test_propagate_rejects_wrong_solver():
 
 
 def test_propagate_rejects_two_particles():
-    cfg = _scenario(packet=WavePacketParams(particles=2),
-                    grid=UniformGrid(-4.0, 4.0, 201, dim=2))
-    with pytest.raises(ValueError):
-        hydro_solver.propagate_hydro(cfg)
+    with pytest.raises(ValueError, match="one-dimensional only"):
+        _scenario(packet=WavePacketParams(particles=2),
+                  grid=UniformGrid(-4.0, 4.0, 201, dim=2))
