@@ -5,6 +5,7 @@ any API. 2D fields are stored row-major with the first particle coordinate
 as the slow axis: ``field.re[i, j]`` is the value at (y1[i], y2[j]).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,11 @@ MIN_POINTS = 11
 #: treated as undefined (node region). Double-precision noise floor for
 #: squared amplitudes.
 EPS_NODE = 1e-12
+
+
+def _positive(x):
+    """x > 0 and finite; False for NaN."""
+    return math.isfinite(x) and x > 0
 
 
 @dataclass(frozen=True)
@@ -37,10 +43,10 @@ class WavePacketParams:
     exchange_sign: int = +1
 
     def __post_init__(self):
-        if self.sigma0 <= 0:
-            raise ValueError("sigma0 must be positive")
-        if self.Y <= 0:
-            raise ValueError("Y must be positive")
+        if not _positive(self.sigma0):
+            raise ValueError("sigma0 must be positive and finite")
+        if not _positive(self.Y):
+            raise ValueError("Y must be positive and finite")
         if self.particles not in (1, 2):
             raise ValueError("particles must be 1 or 2")
         if self.exchange_sign not in (+1, -1):
@@ -62,7 +68,9 @@ class UniformGrid:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
-        if self.hi <= self.lo:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError("grid bounds must be finite")
+        if not self.hi > self.lo:
             raise ValueError("hi must exceed lo")
         if self.n < MIN_POINTS:
             raise GridTooSmall(
@@ -178,8 +186,8 @@ class ScenarioConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if self.t_final <= 0:
-            raise ValueError("t_final must be positive")
+        if not _positive(self.t_final):
+            raise ValueError("t_final must be positive and finite")
         if self.solver != "schrodinger_fd" and self.field_dim != 1:
             raise ValueError("hydrodynamic runs are one-dimensional only")
         for start in self.trajectory_starts:

@@ -20,21 +20,28 @@ least-squares problem (coefficients are scaled back) that keeps the normal
 matrix well-conditioned at high polynomial order. The conditioning
 estimate is taken on the scaled system.
 
-The normal matrix G is symmetric positive definite, so one batched
-Cholesky factor G = L L^T serves both the solve (forward and back
-substitution, elementwise over all targets at once) and the condition
-check: cond2(G) <= tr(G) tr(G^-1) <= m^2 cond2(G) for m basis
-polynomials, and tr(G^-1) is the squared Frobenius norm of the solution
-with each neighbor column multiplied back by its sigma. A point whose
-bound is at most half of CONDITION_LIMIT is certified below the limit
-(the factor 2 covers rounding in the bound); any other point gets the
-exact eigenvalue ratio, so the IllConditioned decisions are those of
-the exact ratio at every point. JetOperator.condition_estimates holds
-the bound, or the exact ratio where one was taken. A point whose normal
-matrix has a non-finite entry gets the estimate inf without a call to
-LAPACK, so a non-finite point set is IllConditioned. See Higham,
-Accuracy and Stability of Numerical Algorithms, ch. 10, for the
-Cholesky factorization and its stability.
+The whole build runs in one layout with the targets last: the
+neighbor indices (nb, nt), the weighted basis a[p] = s^p / sigma
+(m, nb, nt) for m basis polynomials and scaled offsets s, and the normal
+matrix G (m, m, nt), so that each update over all targets at once is one
+contiguous row. G is symmetric positive definite, and one Cholesky
+factor G = L L^T, computed column by column in numpy over all targets,
+serves both the solve (forward and back substitution of a / sigma in
+place, one row per update) and the condition check: cond2(G) <=
+tr(G) tr(G^-1) <= m^2 cond2(G), and tr(G^-1) is the squared Frobenius
+norm of the solution with each neighbor column multiplied back by its
+sigma. A point whose bound is at most half of CONDITION_LIMIT is
+certified below the limit (the factor 2 covers rounding in the bound);
+any other point gets the exact eigenvalue ratio, so the IllConditioned
+decisions are those of the exact ratio at every point. A pivot that is
+not positive fails the factor, and every point then gets the exact
+ratio. JetOperator.condition_estimates holds the bound, or the exact
+ratio where one was taken. A point whose normal matrix has a non-finite
+entry gets the estimate inf without being factored, so a non-finite
+point set is IllConditioned. _solve_normal(gram, rhs, sigma) is the
+seam between the geometry and this linear algebra. See Higham, Accuracy
+and Stability of Numerical Algorithms, ch. 10, for the Cholesky
+factorization and its stability.
 """
 
 import numpy as np
@@ -44,29 +51,24 @@ from .errors import IllConditioned, TooFewPoints
 CONDITION_LIMIT = 1e12
 
 
-def _monomial_basis(scaled, order):
-    """basis[n, k, p] = scaled[n, k] ** p for p = 0..order, filled by
-    repeated products."""
-    basis = np.empty(scaled.shape + (order + 1,))
-    basis[..., 0] = 1.0
+def _monomial_basis(scaled, order, first):
+    """basis[p] = first * scaled ** p for p = 0..order, powers first,
+    filled by repeated products."""
+    basis = np.empty((order + 1,) + np.shape(scaled))
+    basis[0] = first
     for p in range(1, order + 1):
-        basis[..., p] = basis[..., p - 1] * scaled
+        np.multiply(basis[p - 1], scaled, out=basis[p])
     return basis
 
 
 def _neighbor_sigma(d2, width):
     """Per-neighbor standard errors sigma_n = exp(|r_n - r0|^2 / (2 width^2)).
 
-    d2 holds squared distances, one row per target. Larger sigma means
-    smaller weight, so closer points dominate the fit. width="auto" uses
-    each target's mean neighbor distance.
+    d2 holds squared distances, one column per target; width is a number
+    or one value per target. Larger sigma means smaller weight, so closer
+    points dominate the fit.
     """
-    if width == "auto":
-        width = np.sqrt(d2).mean(axis=1, keepdims=True)
-        width[width == 0.0] = 1.0
-    else:
-        width = float(width)
-    return np.exp(d2 / (2.0 * np.asarray(width) ** 2))
+    return np.exp(d2 / (2.0 * width ** 2))
 
 
 def _nearest(pts, tgt, nb):
@@ -100,66 +102,74 @@ def _nearest(pts, tgt, nb):
 
 def _condition_ratio(gram):
     """Exact 2-norm condition lambda_max / lambda_min of each symmetric
-    matrix in the stack, inf where lambda_min <= 0."""
-    evals = np.linalg.eigvalsh(gram)
+    matrix in the stack gram (m, m, nt), inf where lambda_min <= 0."""
+    evals = np.linalg.eigvalsh(gram.transpose(2, 0, 1))
     with np.errstate(divide="ignore"):
         return np.where(evals[:, 0] > 0,
                         evals[:, -1] / np.maximum(evals[:, 0], 1e-300),
                         np.inf)
 
 
-def _cholesky_solve(gram, rhs):
-    """gram^-1 rhs for a stack of SPD gram (nt, m, m), targets last.
-
-    rhs and the result have shape (m, k, nt). One batched Cholesky factor
-    gram = L L^T, then forward and back substitution as elementwise
-    updates over all targets at once; in the targets-last layout each
-    update is one contiguous x[i] -= L[i, j] * x[j]. Raises LinAlgError
-    where a matrix is not positive definite.
+def _cholesky(gram):
+    """Lower Cholesky factor L of each matrix in gram (m, m, nt), targets
+    last, computed column by column over all targets at once; only the
+    lower triangle of L is written. Raises LinAlgError if a pivot of any
+    target is not positive.
     """
-    low = np.linalg.cholesky(gram).transpose(1, 2, 0).copy()  # (m, m, nt)
-    x = np.array(rhs, order="C")
+    low = np.empty_like(gram)
+    for j in range(len(gram)):
+        col = gram[j:, j] - np.einsum("ikn,kn->in", low[j:, :j], low[j, :j])
+        if not np.all(col[0] > 0):
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        low[j, j] = np.sqrt(col[0])
+        low[j + 1:, j] = col[1:] / low[j, j]
+    return low
+
+
+def _substitute(low, x):
+    """Overwrite x (m, k, nt) with (L L^T)^-1 x: forward, then back
+    substitution, one row of x per update."""
     m = len(low)
     for i in range(m):
-        for j in range(i):
-            x[i] -= low[i, j] * x[j]
+        x[i] -= np.einsum("jn,jkn->kn", low[i, :i], x[:i])
         x[i] /= low[i, i]
     for i in range(m - 1, -1, -1):
-        for j in range(i + 1, m):
-            x[i] -= low[j, i] * x[j]
+        x[i] -= np.einsum("jn,jkn->kn", low[i + 1:, i], x[i + 1:])
         x[i] /= low[i, i]
     return x
 
 
 def _solve_normal(gram, rhs, sigma):
-    """Solve map gram^-1 rhs as (nt, m, nb) and condition estimates (nt,).
+    """Solve map gram^-1 rhs (m, nb, nt) and condition estimates (nt,).
 
-    rhs (m, nb, nt) is A_w^T / sigma, targets last, with A_w the weighted
-    basis (nt, nb, m) and gram = A_w^T A_w, so that
-    G^-1 = (solve_map sigma)(solve_map sigma)^T and tr(G^-1) is the
-    squared Frobenius norm of solve_map sigma. The estimate is the bound
-    tr(G) tr(G^-1) where it is at most CONDITION_LIMIT / 2, otherwise the
-    exact ratio; inf at points whose gram has a non-finite entry, which
-    never reach LAPACK. The solve map is None when any point has a
-    non-finite gram or the factorization fails; every estimate is then
-    the exact ratio (inf where non-finite).
+    gram (m, m, nt) is A_w^T A_w and rhs (m, nb, nt) is A_w^T / sigma,
+    targets last, with A_w^T the weighted basis (m, nb, nt); rhs is
+    overwritten by the solve map. G^-1 = (solve_map sigma)(solve_map
+    sigma)^T, so tr(G^-1) is the squared Frobenius norm of solve_map
+    sigma. The estimate is the bound tr(G) tr(G^-1) where it is at most
+    CONDITION_LIMIT / 2, otherwise the exact ratio; inf at points whose
+    gram has a non-finite entry, which never reach the factorization.
+    The solve map is None when any point has a non-finite gram or a
+    pivot that is not positive; every estimate is then the exact ratio
+    (inf where non-finite).
     """
-    cond = np.full(len(gram), np.inf)
-    finite = np.isfinite(gram).all(axis=(1, 2))
+    cond = np.full(gram.shape[-1], np.inf)
+    finite = np.isfinite(gram).all(axis=(0, 1))
     solve_map = None
     exact = finite
     if finite.all():
         try:
-            x = _cholesky_solve(gram, rhs)
+            low = _cholesky(gram)
         except np.linalg.LinAlgError:
             pass
         else:
-            inv_trace = np.sum((x * sigma.T) ** 2, axis=(0, 1))
-            cond = np.trace(gram, axis1=1, axis2=2) * inv_trace
+            solve_map = _substitute(low, rhs)
+            inv_trace = np.einsum("pkn,pkn,kn->n", solve_map, solve_map,
+                                  sigma ** 2)
+            cond = np.trace(gram) * inv_trace
             exact = ~(cond <= CONDITION_LIMIT / 2)
-            solve_map = np.ascontiguousarray(x.transpose(2, 0, 1))
     if exact.any():
-        cond[exact] = _condition_ratio(gram[exact])
+        cond[exact] = _condition_ratio(gram[:, :, exact])
     return solve_map, cond
 
 
@@ -199,21 +209,18 @@ class JetOperator:
         # an inf coordinate makes inf - inf and inf / inf here; the NaN
         # reaches the normal matrix, and the point set is IllConditioned
         with np.errstate(invalid="ignore"):
-            self.neighbor_idx = _nearest(pts, tgt, nb)
-            offsets = pts[self.neighbor_idx] - tgt[:, None]
-            d2 = offsets ** 2                                # (nt, nb)
-
-            sigma = _neighbor_sigma(d2, config.weight_width)
-
-            h = np.sqrt(d2).mean(axis=1)
+            idx_t = np.ascontiguousarray(_nearest(pts, tgt, nb).T)
+            offsets = pts[idx_t] - tgt                       # (nb, nt)
+            h = np.abs(offsets).mean(axis=0)
             h[h == 0.0] = 1.0
-            basis = _monomial_basis(offsets / h[:, None], m - 1)
-            a_mat = basis / sigma[:, :, None]                # (nt, nb, m)
-            gram = np.matmul(np.transpose(a_mat, (0, 2, 1)), a_mat)
+            width = h if config.weight_width == "auto" else config.weight_width
+            sigma = _neighbor_sigma(offsets ** 2, width)
+            a_mat = _monomial_basis(offsets / h, m - 1, 1.0 / sigma)
+            gram = np.einsum("pkn,qkn->pqn", a_mat, a_mat)  # (m, m, nt)
 
-        # solve_map[n, s, k]: scaled coefficient s from neighbor value k
+        # solve_map[s, k, n]: scaled coefficient s from neighbor value k
         solve_map, cond = _solve_normal(
-            gram, (a_mat / sigma[:, :, None]).transpose(2, 1, 0), sigma)
+            gram, np.divide(a_mat, sigma, out=a_mat), sigma)
         self.condition_estimates = cond
         if solve_map is None or np.any(cond > CONDITION_LIMIT):
             raise IllConditioned(
@@ -221,14 +228,16 @@ class JetOperator:
                 f"{CONDITION_LIMIT:.1e} at "
                 f"{int(np.sum(cond > CONDITION_LIMIT))} point(s)")
 
+        self._idx_t = idx_t
+        self.neighbor_idx = idx_t.T
         # value a_0, d/dy a_1 / h and d2/dy2 2 a_2 / h^2: the three rows
         # that apply reads
-        unscale = h[:, None] ** -np.arange(3.0)
-        unscale[:, 2] *= 2.0
-        self._rows = solve_map[:, :3] * unscale[:, :, None]  # (nt, 3, nb)
+        unscale = h ** -np.arange(3.0)[:, None]
+        unscale[2] *= 2.0
+        self._rows = solve_map[:3] * unscale[:, None]        # (3, nb, nt)
 
     def apply(self, values):
         """Jets for one sampled function: (value, d/dy, d2/dy2) at the
         targets, each of shape (n_targets,)."""
-        vals = np.asarray(values, dtype=float)[self.neighbor_idx]
-        return tuple(np.einsum("nsk,nk->sn", self._rows, vals))
+        vals = np.asarray(values, dtype=float)[self._idx_t]
+        return tuple(np.einsum("skn,kn->sn", self._rows, vals))

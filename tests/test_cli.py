@@ -503,10 +503,21 @@ def test_underdetermined_mwls_is_an_error(tmp_path, capsys):
      "mwls.orders must be >= 2"),
     (FD_CFG, "grid.n = 131", "grid.n = 131\npacket.kx = 0.1",
      "line 7: unknown key 'packet.kx'"),
+    # non-finite values fail the checks instead of running to Degraded
+    (FD_CFG, "t_final = 0.05", "t_final = nan",
+     "t_final must be positive and finite"),
+    (FD_CFG, "t_final = 0.05", "t_final = inf",
+     "t_final must be positive and finite"),
+    (FD_CFG, "grid.lo = -13", "grid.lo = nan", "grid bounds must be finite"),
+    (FD_CFG, "grid.n = 131", "grid.n = 131\npacket.Y = nan",
+     "Y must be positive and finite"),
+    (FD_CFG, "grid.n = 131", "grid.n = 131\npacket.sigma0 = nan",
+     "sigma0 must be positive and finite"),
 ], ids=["order", "negative_width", "text_width", "sigma0", "exchange_sign",
         "interval", "late_snapshot", "negative_snapshot",
         "late_hydro_snapshot", "two_particle_hydro", "two_particle_qp",
-        "qp_order", "packet_kx"])
+        "qp_order", "packet_kx", "nan_t_final", "inf_t_final", "nan_grid_lo",
+        "nan_packet_Y", "nan_sigma0"])
 def test_invalid_config_value_is_an_error(tmp_path, capsys, text, old, new,
                                           message):
     cfg_path = _write(tmp_path, "bad.cfg", text.replace(old, new))

@@ -15,10 +15,12 @@ from slitsim.errors import IllConditioned, TooFewPoints
 
 
 def test_monomial_ordering():
-    # basis column p is the p-th power of the scaled offset
-    basis = mwls._monomial_basis(np.array([[2.0, -0.5]]), 3)
-    assert np.array_equal(basis, [[[1.0, 2.0, 4.0, 8.0],
-                                   [1.0, -0.5, 0.25, -0.125]]])
+    # basis row p is the p-th power of the scaled offset times the first
+    # row
+    basis = mwls._monomial_basis(np.array([[2.0, -0.5]]), 3,
+                                 np.array([[1.0, 4.0]]))
+    assert np.array_equal(basis, [[[1.0, 4.0]], [[2.0, -2.0]],
+                                  [[4.0, 1.0]], [[8.0, -0.5]]])
 
 
 def test_select_neighbors_stable_ties():
@@ -255,6 +257,33 @@ def test_operator_matches_pointwise_fit():
         assert l[i] == pytest.approx(lap, rel=1e-7, abs=1e-8)
 
 
+def test_derivative_rows_annihilate_constants():
+    # the d/dy row of each target sums to zero in exact arithmetic; on
+    # the fig3 geometry the build leaves 2.8e-14 of the row's absolute
+    # sum (an explicit inverse of G leaves 1.8e-13)
+    d1 = mwls.JetOperator(*_fig3_points())._rows[1]        # (nb, nt)
+    assert np.max(np.abs(d1.sum(axis=0)) / np.abs(d1).sum(axis=0)) <= 5e-14
+
+
+def test_fixed_width_matches_a_weighted_lstsq_fit():
+    # residual k weighted by exp(-d_k^2 / (2 w^2)), unscaled power basis
+    y = np.linspace(-2.0, 2.0, 41)
+    vals = np.sin(2.0 * y) + 0.3 * y ** 2
+    width = 0.3
+    cfg = MwlsConfig(n_neighbors=10, poly_order=3, weight_width=width)
+    targets = np.array([-2.0, -0.37, 0.0, 1.234, 2.0])
+    op = mwls.JetOperator(y, cfg, targets=targets)
+    got = np.array(op.apply(vals))
+    for n, t in enumerate(targets):
+        d = y[op.neighbor_idx[n]] - t
+        w = np.exp(-d ** 2 / (2.0 * width ** 2))
+        basis = d[:, None] ** np.arange(4.0)
+        coef = np.linalg.lstsq(basis * w[:, None],
+                               vals[op.neighbor_idx[n]] * w, rcond=None)[0]
+        want = np.array([coef[0], coef[1], 2.0 * coef[2]])
+        assert np.allclose(got[:, n], want, rtol=1e-9, atol=1e-11)
+
+
 def test_too_few_points():
     y = np.linspace(0.0, 1.0, 5)
     cfg = MwlsConfig(n_neighbors=12, poly_order=2)
@@ -294,7 +323,8 @@ def test_condition_estimate_reported():
 
 
 def _spy_normal_systems(monkeypatch):
-    """Record (gram, rhs, sigma) of every normal-equation solve."""
+    """Record (gram, rhs, sigma) of every normal-equation solve, targets
+    last: (m, m, nt), (m, nb, nt) and (nb, nt)."""
     calls = []
     solve = mwls._solve_normal
 
@@ -307,8 +337,9 @@ def _spy_normal_systems(monkeypatch):
 
 
 def _eigvalsh_ratio(gram):
-    """The exact condition check: lambda_max / lambda_min from eigvalsh."""
-    evals = np.linalg.eigvalsh(gram)
+    """The exact condition check: lambda_max / lambda_min from eigvalsh,
+    for a stack gram (m, m, nt)."""
+    evals = np.linalg.eigvalsh(gram.transpose(2, 0, 1))
     with np.errstate(divide="ignore"):
         return np.where(evals[:, 0] > 0,
                         evals[:, -1] / np.maximum(evals[:, 0], 1e-300),
@@ -332,9 +363,9 @@ def test_cholesky_solve_matches_lapack_solve(case, monkeypatch):
     calls = _spy_normal_systems(monkeypatch)
     mwls.JetOperator(*case())
     ((gram, rhs, sigma),) = calls
+    want = np.linalg.solve(gram.transpose(2, 0, 1), rhs.transpose(2, 0, 1))
     got, _ = mwls._solve_normal(gram, rhs, sigma)
-    want = np.linalg.solve(gram, np.transpose(rhs, (2, 0, 1)))
-    err = np.abs(got - want).max(axis=(1, 2))
+    err = np.abs(got.transpose(2, 0, 1) - want).max(axis=(1, 2))
     assert np.all(err <= 1e-9 * np.abs(want).max(axis=(1, 2)))
 
 
@@ -390,8 +421,11 @@ def test_singular_gram_fails_cholesky_and_is_ill_conditioned(monkeypatch):
         mwls.JetOperator(np.zeros(12), MwlsConfig(n_neighbors=12,
                                                   poly_order=3),
                          targets=[0.0])
+    ((gram, _, _),) = calls
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(calls[0][0])
+        np.linalg.cholesky(gram.transpose(2, 0, 1))
+    with pytest.raises(np.linalg.LinAlgError):
+        mwls._cholesky(gram)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -43,3 +43,17 @@ def test_rounding_spread_prints_trials_and_summary(tmp_path, capsys):
         assert re.fullmatch(
             rf"{name}: min ({number})  median ({number})  max ({number})",
             summary)
+
+
+def test_jet_accuracy_prints_each_row(tmp_path, capsys):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_HYDRO_CFG)
+    tool = _load_tool("jet_accuracy")
+    assert tool.main([str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "101 targets, order 5, 12 neighbours, width auto"
+    rows = [ln.split() for ln in lines[2:]]
+    assert [r[0] for r in rows] == ["value", "d/dy", "d2/dy2"]
+    for _, error, residual in rows:
+        assert 0.0 < float(error) < 1e-9
+        assert float(residual) < 1e-12
