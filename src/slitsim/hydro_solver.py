@@ -136,7 +136,7 @@ def eulerian_step(ensemble, dt, op):
     status = ensemble.status
     if (not np.all(np.isfinite(v_new)) or not np.all(np.isfinite(g_new))):
         status = DEGRADED
-    return FluidEnsemble(y=ensemble.y.copy(), v=v_new, g=g_new,
+    return FluidEnsemble(y=ensemble.y, v=v_new, g=g_new,
                          t=ensemble.t + dt, status=status)
 
 
@@ -172,7 +172,7 @@ def diagnose(ensemble, field, op):
     if not (np.isfinite(max_v) and np.isfinite(max_q)):
         status = DEGRADED
     return HydroDiagnostics(
-        t=ensemble.t, y=ensemble.y.copy(), v_num=ensemble.v.copy(),
+        t=ensemble.t, y=ensemble.y, v_num=ensemble.v,
         v_exact=v_exact, q_num=q_num, q_exact=q_exact,
         max_v_error=max_v, max_q_error=max_q, status=status,
         mwls_max_condition=max_cond)
@@ -203,16 +203,18 @@ def propagate_hydro(config, points=None):
     wanted = config.snapshot_indices
     lagrange = config.solver == "hydro_lagrange"
 
-    def moving_operator(y):
-        """The operator at the moving points; None degrades the run."""
+    def moving_operator(y, reuse=None):
+        """The operator at the moving points, built in the arrays of
+        reuse; None degrades the run."""
         try:
-            return JetOperator(y, config.mwls)
+            return JetOperator(y, config.mwls, reuse=reuse)
         except IllConditioned:
             return None
 
     # one operator per point layout, shared by the snapshot diagnostics
     # and the next step: fixed in Euler's viewpoint, rebuilt after every
-    # step in Lagrange's
+    # step in Lagrange's, in the arrays of the operator it replaces, so
+    # that no build allocates (and faults in) its large arrays anew
     if lagrange:
         op = moving_operator(ensemble.y)
     else:
@@ -233,8 +235,7 @@ def propagate_hydro(config, points=None):
             break
         if lagrange:
             ensemble = lagrangian_step(ensemble, dt, op)
-            del op      # freed before the next build: one alive at a time
-            op = moving_operator(ensemble.y)
+            op = moving_operator(ensemble.y, op)
         else:
             ensemble = eulerian_step(ensemble, dt, op)
         # the lattice time k*dt, as on the FD path: summing dt drifts

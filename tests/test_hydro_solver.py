@@ -126,6 +126,36 @@ def test_non_finite_step_ends_degraded(monkeypatch):
     assert diags[-1].mwls_max_condition is None
 
 
+def test_reused_operators_leave_the_lagrangian_run_unchanged(monkeypatch):
+    # every build but the first writes into the previous operator's
+    # arrays; the same run with fresh builds gives equal arrays
+    cfg = _scenario(n_steps=20, t_final=2e-4,
+                    snapshot_times=(0.0, 1e-4, 2e-4))
+    reused = []
+
+    def spy(points, config, targets=None, reuse=None):
+        reused.append(reuse is not None)
+        return JetOperator(points, config, targets=targets, reuse=reuse)
+
+    def fresh(points, config, targets=None, reuse=None):
+        return JetOperator(points, config, targets=targets)
+
+    runs = []
+    for build in (spy, fresh):
+        monkeypatch.setattr(hydro_solver, "JetOperator", build)
+        runs.append(hydro_solver.propagate_hydro(cfg))
+    assert reused == [False] + [True] * 20
+    (snaps, diags), (want_snaps, want_diags) = runs
+    assert len(snaps) == len(want_snaps) == len(diags) == 3
+    for got, want in zip(snaps + diags, want_snaps + want_diags):
+        for name, value in vars(want).items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(getattr(got, name), value,
+                                      equal_nan=True), name
+            else:
+                assert getattr(got, name) == value, name
+
+
 def test_single_packet_refinement_ladder(packet_field):
     # no node anywhere: both viewpoints converge to the similarity flow
     errors = []
