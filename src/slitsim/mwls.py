@@ -42,17 +42,6 @@ point set is IllConditioned. _solve_normal(gram, rhs, sigma) is the
 seam between the geometry and this linear algebra. See Higham, Accuracy
 and Stability of Numerical Algorithms, ch. 10, for the Cholesky
 factorization and its stability.
-
-A Lagrangian run builds a new operator on every step, so each build
-can take the arrays of an operator that is no longer needed
-(JetOperator(..., reuse=old)). The neighbor indices, offsets, one
-scratch array, sigma, the weighted basis, the normal matrix and the
-three jet rows are written in place with out=, by the same operations
-in the same order as a fresh build, so the values are equal bit for
-bit; an array is reallocated only when its shape changes. Without
-reuse each 801-point build frees about 1 MB, which the allocator can
-hand back to the system and fault in again on the next build. The
-Cholesky factor inside _solve_normal is still allocated per build.
 """
 
 import numpy as np
@@ -62,29 +51,28 @@ from .errors import IllConditioned, TooFewPoints
 CONDITION_LIMIT = 1e12
 
 
-def _monomial_basis(scaled, order, first, out=None):
+def _monomial_basis(scaled, order, first):
     """basis[p] = first * scaled ** p for p = 0..order, powers first,
-    filled by repeated products, into out where given."""
-    basis = np.empty((order + 1,) + np.shape(scaled)) if out is None else out
+    filled by repeated products."""
+    basis = np.empty((order + 1,) + np.shape(scaled))
     basis[0] = first
     for p in range(1, order + 1):
         np.multiply(basis[p - 1], scaled, out=basis[p])
     return basis
 
 
-def _neighbor_sigma(d2, width, out=None):
+def _neighbor_sigma(d2, width):
     """Per-neighbor standard errors sigma_n = exp(|r_n - r0|^2 / (2 width^2)).
 
     d2 holds squared distances, one column per target; width is a number
     or one value per target. Larger sigma means smaller weight, so closer
-    points dominate the fit. Written into out where given.
+    points dominate the fit.
     """
-    return np.exp(np.divide(d2, 2.0 * width ** 2, out=out), out=out)
+    return np.exp(d2 / (2.0 * width ** 2))
 
 
-def _nearest(pts, tgt, nb, out=None):
-    """Indices (nb, nt) of the nb nearest points of each target, in sorted
-    order down each column, written into out where given.
+def _nearest(pts, tgt, nb):
+    """Indices of the nb nearest points of each target, in sorted order.
 
     Along the stable-sorted points the distance to a target falls, then
     rises, so its nb nearest points are nb consecutive ones. The window
@@ -92,9 +80,7 @@ def _nearest(pts, tgt, nb, out=None):
     to the array, and moves right past each left end that is farther from
     the target than the point just past its right end; at equal distance
     the lower original index wins. It reaches the target's position after
-    at most nb moves. The indices are in range by construction, so the
-    gathers here and in JetOperator take mode="clip", which writes
-    straight into out where the default mode first writes a copy.
+    at most nb moves.
     """
     n = len(pts)
     order = np.argsort(pts, kind="stable")
@@ -111,8 +97,7 @@ def _nearest(pts, tgt, nb, out=None):
         if not move.any():
             break
         start += move
-    return np.take(order, start + np.arange(nb)[:, None], out=out,
-                   mode="clip")
+    return order[start[:, None] + np.arange(nb)]
 
 
 def _condition_ratio(gram):
@@ -188,15 +173,6 @@ def _solve_normal(gram, rhs, sigma):
     return solve_map, cond
 
 
-def _slot(work, name, shape, dtype=float):
-    """The array work[name], replaced by a new one where its shape is not
-    the given one; its values are left as they are."""
-    arr = work.get(name)
-    if arr is None or arr.shape != shape:
-        arr = work[name] = np.empty(shape, dtype)
-    return arr
-
-
 class JetOperator:
     """Precomputed per-point linear maps from sample values to jets.
 
@@ -212,15 +188,9 @@ class JetOperator:
     condition of the scaled normal matrix G, tr(G) tr(G^-1), which is at
     most m^2 times the exact ratio lambda_max / lambda_min; where the
     bound exceeds CONDITION_LIMIT / 2 it holds the exact ratio instead.
-
-    reuse takes an operator that is no longer needed: the build writes
-    its large arrays into that operator's arrays, reallocating only those
-    whose shape changes. From then on apply on that operator raises
-    RuntimeError and its neighbor_idx is None; its condition_estimates
-    stay as they were. The values are those of a fresh build.
     """
 
-    def __init__(self, points, config, targets=None, reuse=None):
+    def __init__(self, points, config, targets=None):
         pts = np.asarray(points, dtype=float)
         tgt = pts if targets is None else np.asarray(targets, dtype=float)
         if pts.ndim != 1 or tgt.ndim != 1:
@@ -235,29 +205,18 @@ class JetOperator:
         if nb < m:
             raise TooFewPoints(
                 f"{nb} neighbors cannot support {m} basis polynomials")
-        nt = len(tgt)
-        work = {} if reuse is None else reuse._release()
 
         # an inf coordinate makes inf - inf and inf / inf here; the NaN
         # reaches the normal matrix, and the point set is IllConditioned
         with np.errstate(invalid="ignore"):
-            idx_t = _nearest(pts, tgt, nb,
-                             out=_slot(work, "idx", (nb, nt), np.intp))
-            offsets = np.take(pts, idx_t, mode="clip",
-                              out=_slot(work, "offsets", (nb, nt)))
-            offsets -= tgt
-            scratch = np.abs(offsets, out=_slot(work, "scratch", (nb, nt)))
-            h = scratch.mean(axis=0)
+            idx_t = np.ascontiguousarray(_nearest(pts, tgt, nb).T)
+            offsets = pts[idx_t] - tgt                       # (nb, nt)
+            h = np.abs(offsets).mean(axis=0)
             h[h == 0.0] = 1.0
             width = h if config.weight_width == "auto" else config.weight_width
-            sigma = _neighbor_sigma(np.square(offsets, out=scratch), width,
-                                    out=_slot(work, "sigma", (nb, nt)))
-            offsets /= h                                  # scaled offsets s
-            a_mat = _monomial_basis(offsets, m - 1,
-                                    np.divide(1.0, sigma, out=scratch),
-                                    out=_slot(work, "a", (m, nb, nt)))
-            gram = np.einsum("pkn,qkn->pqn", a_mat, a_mat,
-                             out=_slot(work, "gram", (m, m, nt)))
+            sigma = _neighbor_sigma(offsets ** 2, width)
+            a_mat = _monomial_basis(offsets / h, m - 1, 1.0 / sigma)
+            gram = np.einsum("pkn,qkn->pqn", a_mat, a_mat)  # (m, m, nt)
 
         # solve_map[s, k, n]: scaled coefficient s from neighbor value k
         solve_map, cond = _solve_normal(
@@ -269,28 +228,16 @@ class JetOperator:
                 f"{CONDITION_LIMIT:.1e} at "
                 f"{int(np.sum(cond > CONDITION_LIMIT))} point(s)")
 
-        self._work = work
         self._idx_t = idx_t
         self.neighbor_idx = idx_t.T
         # value a_0, d/dy a_1 / h and d2/dy2 2 a_2 / h^2: the three rows
         # that apply reads
         unscale = h ** -np.arange(3.0)[:, None]
         unscale[2] *= 2.0
-        self._rows = np.multiply(solve_map[:3], unscale[:, None],
-                                 out=_slot(work, "rows", (3, nb, nt)))
-
-    def _release(self):
-        """This operator's arrays, for a new build to write into; the
-        operator cannot be applied any more."""
-        work, self._work = self._work, {}
-        self._rows = self._idx_t = self.neighbor_idx = None
-        return work
+        self._rows = solve_map[:3] * unscale[:, None]        # (3, nb, nt)
 
     def apply(self, values):
         """Jets for one sampled function: (value, d/dy, d2/dy2) at the
         targets, each of shape (n_targets,)."""
-        if self._rows is None:
-            raise RuntimeError(
-                "JetOperator arrays were reused by a later build")
         vals = np.asarray(values, dtype=float)[self._idx_t]
         return tuple(np.einsum("skn,kn->sn", self._rows, vals))

@@ -1,5 +1,7 @@
 """Quantum-hydrodynamic steppers in both viewpoints."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -126,34 +128,25 @@ def test_non_finite_step_ends_degraded(monkeypatch):
     assert diags[-1].mwls_max_condition is None
 
 
-def test_reused_operators_leave_the_lagrangian_run_unchanged(monkeypatch):
-    # every build but the first writes into the previous operator's
-    # arrays; the same run with fresh builds gives equal arrays
+def test_lagrangian_build_runs_while_the_previous_operator_is_alive(
+        monkeypatch):
+    # freeing the previous operator before the next build let the
+    # allocator return its arrays to the system, and each build fault
+    # them in again
     cfg = _scenario(n_steps=20, t_final=2e-4,
                     snapshot_times=(0.0, 1e-4, 2e-4))
-    reused = []
+    built = []
+    alive = []
 
-    def spy(points, config, targets=None, reuse=None):
-        reused.append(reuse is not None)
-        return JetOperator(points, config, targets=targets, reuse=reuse)
+    def spy(points, config, targets=None):
+        alive.append(bool(built) and built[-1]() is not None)
+        op = JetOperator(points, config, targets=targets)
+        built.append(weakref.ref(op))
+        return op
 
-    def fresh(points, config, targets=None, reuse=None):
-        return JetOperator(points, config, targets=targets)
-
-    runs = []
-    for build in (spy, fresh):
-        monkeypatch.setattr(hydro_solver, "JetOperator", build)
-        runs.append(hydro_solver.propagate_hydro(cfg))
-    assert reused == [False] + [True] * 20
-    (snaps, diags), (want_snaps, want_diags) = runs
-    assert len(snaps) == len(want_snaps) == len(diags) == 3
-    for got, want in zip(snaps + diags, want_snaps + want_diags):
-        for name, value in vars(want).items():
-            if isinstance(value, np.ndarray):
-                assert np.array_equal(getattr(got, name), value,
-                                      equal_nan=True), name
-            else:
-                assert getattr(got, name) == value, name
+    monkeypatch.setattr(hydro_solver, "JetOperator", spy)
+    hydro_solver.propagate_hydro(cfg)
+    assert alive == [False] + [True] * 20
 
 
 def test_single_packet_refinement_ladder(packet_field):
