@@ -24,16 +24,21 @@ def sigma_t(params, t):
     return s0 * (1.0 + 1j * t / (2.0 * s0 ** 2))
 
 
-def _packet(y, t, center, sigma0):
-    """Normalized spreading Gaussian centered on `center` at t=0.
+def _packets(y, t, *packets, grad=False):
+    """The SlitPacketFields' normalized spreading Gaussians, stacked on a
+    new first axis, and with grad=True their y-derivatives too.
 
     (2 pi sigma_t^2)^(-1/4) exp(-(y-c)^2 / (4 sigma0 sigma_t)), principal
     branch of the fourth root. For t >= 0 the argument of sigma_t^2 stays
-    in [0, pi), so the principal branch is continuous in t.
+    in [0, pi), so the principal branch is continuous in t. sigma_t and
+    the prefactor are formed once for all the packets.
     """
-    st = sigma0 * (1.0 + 1j * t / (2.0 * sigma0 ** 2))
-    pref = (2.0 * np.pi * st ** 2) ** -0.25
-    return pref * np.exp(-(y - center) ** 2 / (4.0 * sigma0 * st))
+    y = np.asarray(y, dtype=float)
+    s0 = packets[0].params.sigma0
+    dy = y - np.array([f.center for f in packets]).reshape(-1, *[1] * y.ndim)
+    st = s0 * (1.0 + 1j * t / (2.0 * s0 ** 2))
+    p = (2.0 * np.pi * st ** 2) ** -0.25 * np.exp(-dy ** 2 / (4.0 * s0 * st))
+    return (p, -dy / (2.0 * s0 * st) * p) if grad else p
 
 
 def _overlap(params):
@@ -121,7 +126,7 @@ class ExactField:
         Raises NodeError if any point is at a node.
         """
         v = self.velocity(*_stack(points, self.dim).T, t)
-        return np.stack(v if self.dim > 1 else (v,), axis=-1)
+        return v[:, None] if self.dim == 1 else np.stack(v, axis=-1)
 
     def log_amplitude(self, *args, node_floor=0.0):
         """g = ln|psi| (so the probability density is e^{2g})."""
@@ -153,15 +158,11 @@ class SlitPacketField(ExactField):
         self.center = params.Y if slit == SLIT_A else -params.Y
 
     def psi(self, y, t):
-        return _packet(np.asarray(y, dtype=float), t, self.center,
-                       self.params.sigma0)
+        return _packets(y, t, self)[0]
 
     def psi_grad(self, y, t):
-        y = np.asarray(y, dtype=float)
-        p = self.psi(y, t)
-        st = sigma_t(self.params, t)
-        fac = -(y - self.center) / (2.0 * self.params.sigma0 * st)
-        return p, (fac * p,)
+        p, d = _packets(y, t, self, grad=True)
+        return p[0], (d[0],)
 
     def lap(self, y, t):
         y = np.asarray(y, dtype=float)
@@ -197,8 +198,7 @@ class OneParticleField(ExactField):
         return self.norm_constant * (self._a.psi(y, t) + self._b.psi(y, t))
 
     def psi_grad(self, y, t):
-        pa, (da,) = self._a.psi_grad(y, t)
-        pb, (db,) = self._b.psi_grad(y, t)
+        (pa, pb), (da, db) = _packets(y, t, self._a, self._b, grad=True)
         n = self.norm_constant
         return n * (pa + pb), (n * (da + db),)
 
@@ -231,10 +231,8 @@ class TwoParticleField(ExactField):
 
     def psi_grad(self, y1, y2, t):
         s = self.params.exchange_sign
-        a1, (da1,) = self._a.psi_grad(y1, t)
-        b1, (db1,) = self._b.psi_grad(y1, t)
-        a2, (da2,) = self._a.psi_grad(y2, t)
-        b2, (db2,) = self._b.psi_grad(y2, t)
+        (a1, b1), (da1, db1) = _packets(y1, t, self._a, self._b, grad=True)
+        (a2, b2), (da2, db2) = _packets(y2, t, self._a, self._b, grad=True)
         n = self.norm_constant
         p = n * (a1 * b2 + s * b1 * a2)
         d1 = n * (da1 * b2 + s * db1 * a2)

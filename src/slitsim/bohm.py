@@ -6,9 +6,11 @@ form (psi_R grad psi_I - psi_I grad psi_R) / (psi_R^2 + psi_I^2) with the
 EPS_NODE times the instantaneous peak are masked as undefined (NaN). The
 stencils run only on the block of the grid that holds the unmasked
 points, which gives the same numbers as the whole grid. Off-grid
-values come from local cubic interpolation. A stencil that touches a
-masked point is replaced, in the same batched call, by the 4 nearest
-unmasked points around it, or gives NaN where too few are left.
+values come from local cubic interpolation, whose nominal stencils take
+their nodes and Lagrange denominators from a table built once per grid
+(_weight_table). A stencil that touches a masked point is replaced, in
+the same batched call, by the 4 nearest unmasked points around it, or
+gives NaN where too few are left.
 Trajectories are RK4 with the velocity linearly interpolated in time
 between adjacent field steps. A family of trajectories is integrated as
 one stack in a single pass over the solver's time lattice, holding only
@@ -22,6 +24,7 @@ that leaves the grid stops with the time it left. crossing_report lists
 the times and pairs at which a family breaks the no-crossing property.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +111,28 @@ def _stencil_base(grid, x):
     return np.minimum(np.maximum(i - 1, 0), grid.n - 4)
 
 
+@functools.lru_cache(maxsize=8)
+def _weight_table(grid):
+    """Nodes (b, 4) of the nominal stencil at each base index b, and the
+    Lagrange denominators (b, 4, 3) x_j - x_k that _lagrange_weights
+    forms from them."""
+    nodes = grid.lo + (np.arange(grid.n - 3)[:, None]
+                       + np.arange(4)) * grid.delta
+    den = nodes[:, :, None] - nodes[:, _OTHERS]
+    nodes.flags.writeable = den.flags.writeable = False
+    return nodes, den
+
+
+def _nominal_weights(grid, pts):
+    """Base index (m, dim) and weights (m, dim, 4) of the nominal stencils
+    around a (m, dim) stack: _lagrange_weights on tabulated nodes."""
+    base = _stencil_base(grid, pts)
+    nodes, den = _weight_table(grid)
+    r = ((pts[..., None] - nodes.take(base, axis=0)).take(_OTHERS, axis=-1)
+         / den.take(base, axis=0))
+    return base, r[..., 0] * r[..., 1] * r[..., 2]
+
+
 def _stencils(mask, start, x, grid):
     """Stencils along grid lines, shape (m, r, 4), that skip masked points.
 
@@ -154,19 +179,20 @@ def interpolate_velocity(vf, points):
     fields = (vf,) if single else vf
     grid = fields[0].grid
     pts = _stack(points, grid.dim)
-    inside = _inside(grid, pts)
-    if not inside.all():
+    # min/max fail for a NaN too; only then find the first bad point
+    if pts.size and not (pts.min() >= grid.lo and pts.max() <= grid.hi):
+        inside = _inside(grid, pts)
         raise OutsideGrid(f"point {pts[~inside][0]} outside the grid")
 
     # stencils (m, 1, 4) along the lines; start: flat index of line starts
     x = pts[:, -1]
-    cols = _stencil_base(grid, x)[:, None, None] + np.arange(4)
-    w = _lagrange_weights(grid.lo + cols * grid.delta, x[:, None])
+    base, w_all = _nominal_weights(grid, pts)
+    cols = base[:, -1:, None] + np.arange(4)
+    w = w_all[:, -1:]
     start = 0
     if grid.dim == 2:
-        rows = _stencil_base(grid, pts[:, 0])[:, None] + np.arange(4)
-        w_rows = _lagrange_weights(grid.lo + rows * grid.delta, pts[:, 0])
-        start = rows[..., None] * grid.n
+        w_rows = w_all[:, 0]
+        start = (base[:, :1] + np.arange(4))[..., None] * grid.n
     nominal = start + cols
     outs = []
     for fld in fields:
@@ -234,12 +260,14 @@ def _rk4_stack(r, dt, va, vb):
                 return live, left, r
             vs = interpolate_velocity(fields, p)
         v = vs[0] if len(vs) == 1 else 0.5 * (vs[0] + vs[1])
-        ok = ~np.isnan(v).any(axis=1)
-        live[live] = ok
-        r = r[ok]
-        ks = [kv[ok] for kv in ks] + [v[ok]]
-        if not len(r):
-            return live, left, r
+        if np.isnan(v).any():
+            ok = ~np.isnan(v).any(axis=1)
+            live[live] = ok
+            r, v = r[ok], v[ok]
+            ks = [kv[ok] for kv in ks]
+            if not len(r):
+                return live, left, r
+        ks.append(v)
     f1, f2, f3, f4 = ks
     return live, left, r + (dt / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
 
@@ -324,11 +352,10 @@ def crossing_report(trajectories, min_separation=0.0):
         pos = np.stack([tr.positions[:, 0] for tr in trajectories], axis=1)
         order = np.argsort(pos[0], kind="stable")
         pos = pos[:, order]
-        for it, t in enumerate(t0):
-            bad = np.nonzero(np.diff(pos[it]) <= 0)[0]
-            for b in bad:
-                violations.append((float(t), int(order[b]),
-                                   int(order[b + 1])))
+        # row-major nonzero walks (time, pair) in the order of a time loop
+        its, bad = np.nonzero(np.diff(pos, axis=1) <= 0)
+        violations = [(float(t0[it]), int(order[b]), int(order[b + 1]))
+                      for it, b in zip(its, bad)]
     else:
         n = len(trajectories)
         for it, t in enumerate(t0):

@@ -271,3 +271,37 @@ def test_velocity_at_shapes(one_field, boson_field):
             one_field.velocity_at(bad, 0.3)
     with pytest.raises(NodeError):
         one_field.velocity_at([(0.7,), (5.0,)], 0.0)
+
+
+_Y_SHAPES = {
+    "scalar": 0.3,
+    "stack": np.linspace(-3.0, 3.0, 41),
+    "meshgrid": np.meshgrid(np.linspace(-3.0, 3.0, 9),
+                            np.linspace(-2.0, 2.0, 7), indexing="ij")[0],
+}
+
+
+@pytest.mark.parametrize("t", [0.0, 0.37])
+@pytest.mark.parametrize("y", _Y_SHAPES.values(), ids=_Y_SHAPES.keys())
+def test_one_particle_psi_grad_is_the_two_packets(one_field, y, t):
+    # both packets are evaluated as one stack; each element must still
+    # get the bits of its own packet evaluated alone
+    params = one_field.params
+    a = analytic.SlitPacketField(params, analytic.SLIT_A)
+    pa, (da,) = a.psi_grad(y, t)
+    pb, (db,) = analytic.SlitPacketField(params, analytic.SLIT_B).psi_grad(
+        y, t)
+    n = one_field.norm_constant
+    p, (d,) = one_field.psi_grad(y, t)
+    assert np.shape(p) == np.shape(d) == np.shape(y)
+    assert np.array_equal(p, n * (pa + pb))
+    assert np.array_equal(d, n * (da + db))
+    if np.ndim(y):
+        # the closed form, one packet at a time, in its own operation order
+        s0 = params.sigma0
+        st = s0 * (1.0 + 1j * t / (2.0 * s0 ** 2))
+        ref = (2.0 * np.pi * st ** 2) ** -0.25 * np.exp(
+            -(y - params.Y) ** 2 / (4.0 * s0 * st))
+        assert np.array_equal(pa, ref)
+        assert np.array_equal(da, -(y - params.Y) / (2.0 * s0 * st) * ref)
+        assert np.array_equal(pa, a.psi(y, t))

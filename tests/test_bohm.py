@@ -271,6 +271,20 @@ def test_crossing_report_flags_identical_starts(one_field):
     assert all(v[1:] == (0, 1) for v in violations)
 
 
+def test_crossing_report_lists_violations_by_time_then_pair():
+    # initial order 0, 2, 1, 3; at t = 0.5 the sorted pairs (2, 1) and
+    # (1, 3) are out of order, at t = 1 the pair (0, 2)
+    times = np.array([0.0, 0.5, 1.0, 1.5])
+    paths = ([0.0, 0.0, 1.5, 0.0], [2.0, 2.0, 2.0, 2.0],
+             [1.0, 2.5, 1.0, 1.0], [3.0, 2.0, 3.0, 3.0])
+    trajs = [analytic.Trajectory(times=times, positions=np.array(p)[:, None])
+             for p in paths]
+    violations = bohm.crossing_report(trajs)
+    assert violations == ((0.5, 2, 1), (0.5, 1, 3), (1.0, 0, 2))
+    assert all(type(t) is float and type(a) is int and type(b) is int
+               for t, a, b in violations)
+
+
 def test_crossing_report_2d_separation(boson_field):
     t_grid = np.linspace(0.0, 0.05, 6)
     t1, t2 = analytic.exact_trajectory(boson_field, [(1.0, -0.6)] * 2,
@@ -366,6 +380,67 @@ def test_interpolation_outside_grid_raises_for_a_stack():
         bohm.interpolate_velocity(vf, np.array([[0.1], [2.5]]))
     with pytest.raises(ValueError):
         bohm.interpolate_velocity(vf, np.array([[0.1], [np.nan]]))
+
+
+def _zero_vf_2d(grid):
+    zero = np.zeros(grid.shape)
+    return bohm.VelocityField(grid=grid, t=0.0, components=(zero, zero),
+                              mask=np.zeros(grid.shape, dtype=bool))
+
+
+def test_interpolation_outside_grid_names_the_first_bad_point():
+    g = UniformGrid(-2.0, 2.0, 41)
+    vf = _synthetic_vf(g, np.sin)
+    with pytest.raises(OutsideGrid, match=r"point \[nan\] outside"):
+        bohm.interpolate_velocity(vf, np.array([[0.1], [np.nan], [2.5]]))
+    with pytest.raises(OutsideGrid, match=r"point \[2.5\] outside"):
+        bohm.interpolate_velocity(vf, np.array([[0.1], [2.5], [np.nan]]))
+    vf2 = _zero_vf_2d(UniformGrid(-2.0, 2.0, 41, dim=2))
+    with pytest.raises(OutsideGrid, match=r"point \[0.1 nan\] outside"):
+        bohm.interpolate_velocity(vf2, [[0.1, np.nan], [-2.5, 0.0]])
+
+
+def test_interpolation_of_an_empty_stack():
+    g = UniformGrid(-2.0, 2.0, 41)
+    vf = _synthetic_vf(g, np.sin)
+    assert bohm.interpolate_velocity(vf, np.empty((0, 1))).shape == (0, 1)
+    out = bohm.interpolate_velocity((vf, vf), np.empty((0, 1)))
+    assert [o.shape for o in out] == [(0, 1), (0, 1)]
+    vf2 = _zero_vf_2d(UniformGrid(-2.0, 2.0, 41, dim=2))
+    assert bohm.interpolate_velocity(vf2, np.empty((0, 2))).shape == (0, 2)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_tabulated_weights_equal_lagrange_weights(dim):
+    # the per-grid table holds the nodes and denominators that
+    # _lagrange_weights forms from lo + index * delta
+    g = UniformGrid(-2.0, 2.0, 41, dim=dim)
+    rng = np.random.default_rng(3)
+    pts = np.concatenate([rng.uniform(-2.0, 2.0, (200, dim)),
+                          np.full((1, dim), -2.0), np.full((1, dim), 2.0),
+                          g.axis()[:, None].repeat(dim, axis=1)])
+    base, w = bohm._nominal_weights(g, pts)
+    for a in range(dim):
+        nodes = g.lo + (base[:, a, None] + np.arange(4)) * g.delta
+        assert np.array_equal(
+            w[:, a], bohm._lagrange_weights(nodes, pts[:, a]))
+
+
+def test_interpolation_on_two_grids_in_turn():
+    # one weight table per grid: alternating grids of the same size and
+    # spacing must not read a table built for the other
+    grids = (UniformGrid(-2.0, 2.0, 41), UniformGrid(-2.05, 1.95, 41))
+    vfs = [_synthetic_vf(g, np.sin) for g in grids]
+    xs = np.linspace(-1.97, 1.93, 23)[:, None]
+    alone = []
+    for vf in vfs:
+        bohm._weight_table.cache_clear()
+        alone.append(bohm.interpolate_velocity(vf, xs))
+    bohm._weight_table.cache_clear()
+    for _ in range(3):
+        for vf, want in zip(vfs, alone):
+            assert np.array_equal(bohm.interpolate_velocity(vf, xs), want)
+    assert not np.array_equal(alone[0], alone[1])
 
 
 def test_interpolating_a_pair_equals_each_field_alone():

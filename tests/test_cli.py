@@ -1,5 +1,6 @@
 """Scenario files, the runner, and the comparison harness."""
 
+import hashlib
 import json
 import os
 import platform
@@ -620,3 +621,34 @@ def test_flagged_deviation_matches_per_time_loop(one_field):
         assert got == _flagged_deviation_loop(traj, ex, one_field)
         n_flagged += got["n_flagged_times"]
     assert n_flagged > 0      # the check saw node regions
+
+
+# sha256 of the CSVs of a 20-step cut of fig6 (all 16 starts, 261
+# points). Speed work on the trajectory layer and the exact oracle must
+# keep every element's operations and their order; these bytes pin that.
+FIG6_CUT_SHA256 = {
+    "fields.csv":
+        "f4588165b5d66614e50cc13ceb57531bac748ba59f71018c0ebc8567de69b824",
+    "trajectories.csv":
+        "e3b2c8cdc2c841c585a4d536599abdf3d9ec0b7f04ecd89363292414c2fe7b73",
+}
+
+
+def test_fig6_cut_csvs_are_pinned(tmp_path):
+    text = open(cli.scenario_path("fig6_one_particle"),
+                encoding="utf-8").read()
+    text = (text.replace("t_final = 1.0", "t_final = 0.004")
+            .replace("n_steps = 5000", "n_steps = 20")
+            .replace("snapshots = 1.0", "snapshots = 0.002"))
+    cfg_path = _write(tmp_path, "fig6_cut.cfg", text)
+    manifest, code = cli.run(cfg_path, out_root=str(tmp_path / "runs"))
+    assert code == 0
+    assert len(manifest["errors"]["trajectories"]) == 16
+    for name, want in FIG6_CUT_SHA256.items():
+        with open(os.path.join(manifest["out_dir"], name), "rb") as fh:
+            got = hashlib.sha256(fh.read()).hexdigest()
+        assert got == want, (
+            f"{name} of the fig6 cut changed (sha256 {got}). If only numpy "
+            "or the BLAS library changed, check the new bytes against the "
+            "old code on the same numpy/BLAS (git stash the src/ change, "
+            "rerun) and re-record FIG6_CUT_SHA256 from that run.")
