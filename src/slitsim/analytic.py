@@ -37,8 +37,16 @@ def _packets(y, t, *packets, grad=False):
     s0 = packets[0].params.sigma0
     dy = y - np.array([f.center for f in packets]).reshape(-1, *[1] * y.ndim)
     st = s0 * (1.0 + 1j * t / (2.0 * s0 ** 2))
-    p = (2.0 * np.pi * st ** 2) ** -0.25 * np.exp(-dy ** 2 / (4.0 * s0 * st))
-    return (p, -dy / (2.0 * s0 * st) * p) if grad else p
+    # Named operands: numpy reuses an unnamed temporary of 256 KiB or more
+    # in place, which can swap a complex multiply's operands (not
+    # bit-commutative with FMA) and round a large stack unlike a short one.
+    pref = (2.0 * np.pi * st ** 2) ** -0.25
+    e = np.exp(-dy ** 2 / (4.0 * s0 * st))
+    p = pref * e
+    if not grad:
+        return p
+    slope = -dy / (2.0 * s0 * st)
+    return p, slope * p
 
 
 def _overlap(params):

@@ -8,12 +8,12 @@ the bundled scenario files. Exit codes: 0 run Valid, 2 run Degraded,
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
 import time
 from importlib import resources
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -37,32 +37,33 @@ def _fmt(x):
 
 
 def _fmt_column(values):
-    """_fmt of each value of a float array, in C order."""
-    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+    """_fmt of each value of a float array, in C order, formatted lazily."""
+    return map(repr, np.asarray(values, dtype=float).ravel().tolist())
 
 
-def _write_csv(path, header, columns):
-    """Write equal-length columns of strings under a header row."""
+def _write_csv(path, header, rows):
+    """Write a header row and an iterable of string rows as CSV.
+
+    The bytes are those of the csv module's default (excel) dialect for
+    fields that need no quoting, which no field written here does: no
+    comma, quote or line break, and no row of one empty field. rows may
+    be lazy; they are formatted as they are written, never all at once.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
-def _extend_columns(columns, parts):
-    for col, part in zip(columns, parts):
-        col.extend(part)
-
-
-def _snapshot_columns(t, fld, axis):
-    """Columns (t, y[, y2], re, im) of one FD snapshot, rows in C order;
-    axis is the grid axis, already formatted."""
-    coords = [axis]
+def _snapshot_rows(t, fld, axis):
+    """Rows (t, y[, y2], re, im) of one FD snapshot, in C order over the
+    grid; axis is the grid axis, already formatted (a list)."""
+    coords = (axis,)
     if fld.grid.dim == 2:
-        n = fld.grid.n
-        coords = [[y for y in axis for _ in range(n)], axis * n]
-    return ([[_fmt(t)] * fld.re.size] + coords
-            + [_fmt_column(fld.re), _fmt_column(fld.im)])
+        n = len(axis)
+        coords = (chain.from_iterable(repeat(y, n) for y in axis),
+                  chain.from_iterable(repeat(axis, n)))
+    return zip(repeat(_fmt(t)), *coords, _fmt_column(fld.re),
+               _fmt_column(fld.im))
 
 
 def _field_errors(fld, exact_field, t):
@@ -112,17 +113,15 @@ def run_fd(spec, out_dir):
     files = []
     header = (("t", "y", "re", "im") if cfg.grid.dim == 1
               else ("t", "y1", "y2", "re", "im"))
-    columns = [[] for _ in header]
-    axis = _fmt_column(cfg.grid.axis())
     field_errors = {}
     for k in snap_idx:
         t = k * cfg.dt
-        fld = fields[k]
-        _extend_columns(columns, _snapshot_columns(t, fld, axis))
-        emax, erms = _field_errors(fld, exact_field, t)
+        emax, erms = _field_errors(fields[k], exact_field, t)
         field_errors[f"t={t:.6g}"] = {"max": emax, "rms": erms}
-    path = os.path.join(out_dir, "fields.csv")
-    _write_csv(path, header, columns)
+    axis = list(_fmt_column(cfg.grid.axis()))
+    _write_csv(os.path.join(out_dir, "fields.csv"), header,
+               chain.from_iterable(_snapshot_rows(k * cfg.dt, fields[k], axis)
+                                   for k in snap_idx))
     files.append("fields.csv")
 
     final = fields[cfg.n_steps]
@@ -140,15 +139,11 @@ def run_fd(spec, out_dir):
             exact_field, [cfg.trajectory_starts[j] for j in complete],
             lattice)))
     dim = cfg.grid.dim
-    traj_columns = [[] for _ in range(2 + 2 * dim)]
-    traj_summary = []
+    exacts, traj_summary = [], []
     for j, (traj, incursion) in enumerate(results):
         ex = exact[j] if j in exact else exact_trajectory(
             exact_field, [cfg.trajectory_starts[j]], traj.times)[0]
-        _extend_columns(traj_columns, (
-            [[str(j)] * len(traj.times), _fmt_column(traj.times)]
-            + [_fmt_column(traj.positions[:, d]) for d in range(dim)]
-            + [_fmt_column(ex.positions[:, d]) for d in range(dim)]))
+        exacts.append(ex)
         entry = {"start": list(cfg.trajectory_starts[j]),
                  "incursion_time": incursion,
                  "left_grid_time": (float(traj.times[-1])
@@ -161,8 +156,17 @@ def run_fd(spec, out_dir):
         cols = (("y",) if dim == 1 else ("y1", "y2"))
         header = ("trajectory", "t") + cols + tuple(f"{c}_exact"
                                                     for c in cols)
-        path = os.path.join(out_dir, "trajectories.csv")
-        _write_csv(path, header, traj_columns)
+        # every trajectory records the times k*dt from k = 0, so each
+        # one's times are a prefix of the longest one's
+        times = list(_fmt_column(max((traj.times for traj, _ in results),
+                                     key=len)))
+        _write_csv(os.path.join(out_dir, "trajectories.csv"), header,
+                   chain.from_iterable(
+                       zip(repeat(str(j)), islice(times, len(traj.times)),
+                           *map(_fmt_column, traj.positions.T),
+                           *map(_fmt_column, ex.positions.T))
+                       for j, ((traj, _), ex) in enumerate(zip(results,
+                                                               exacts))))
         files.append("trajectories.csv")
 
     crossings = None
@@ -188,17 +192,17 @@ def run_hydro(spec, out_dir):
     exact_field = field_for(cfg.packet, cfg.field_kind)
     snapshots, diags = hydro_solver.propagate_hydro(cfg)
 
-    columns = [[] for _ in range(7)]
-    for d in diags:
-        n = len(d.y)
-        _extend_columns(columns, (
-            [[_fmt(d.t)] * n]
-            + [_fmt_column(a) for a in (d.y, d.v_num, d.v_exact, d.q_num,
-                                        d.q_exact)]
-            + [[d.status] * n]))
-    path = os.path.join(out_dir, "diagnostics.csv")
-    _write_csv(path, ("t", "y", "v_num", "v_exact", "Q_num", "Q_exact",
-                      "status"), columns)
+    # t and y are formatted once: trajectories.csv repeats them
+    ts = [_fmt(d.t) for d in diags]
+    ys = [list(_fmt_column(d.y)) for d in diags]
+    _write_csv(os.path.join(out_dir, "diagnostics.csv"),
+               ("t", "y", "v_num", "v_exact", "Q_num", "Q_exact", "status"),
+               chain.from_iterable(
+                   zip(repeat(t), y,
+                       *map(_fmt_column, (d.v_num, d.v_exact, d.q_num,
+                                          d.q_exact)),
+                       repeat(d.status))
+                   for t, y, d in zip(ts, ys, diags)))
 
     status = "Degraded" if any(d.status == "Degraded" for d in diags) \
         else "Valid"
@@ -210,13 +214,11 @@ def run_hydro(spec, out_dir):
     }
     # Lagrangian point paths are the Bohmian trajectories
     if cfg.solver == "hydro_lagrange":
-        traj_columns = [[] for _ in range(3)]
         point = [str(i) for i in range(len(diags[0].y))]
-        for d in diags:
-            _extend_columns(traj_columns, (
-                point, [_fmt(d.t)] * len(d.y), _fmt_column(d.y)))
         _write_csv(os.path.join(out_dir, "trajectories.csv"),
-                   ("point", "t", "y"), traj_columns)
+                   ("point", "t", "y"),
+                   chain.from_iterable(zip(point, repeat(t), y)
+                                       for t, y in zip(ts, ys)))
         return status, errors, ["diagnostics.csv", "trajectories.csv"]
     return status, errors, ["diagnostics.csv"]
 
@@ -259,7 +261,7 @@ def run_qp_study(spec, out_dir):
         }
 
     _write_csv(os.path.join(out_dir, "quantum_potential.csv"), names,
-               [_fmt_column(c) for c in columns])
+               zip(*map(_fmt_column, columns)))
     return "Valid", {"orders": summary}, ["quantum_potential.csv"]
 
 
@@ -402,14 +404,12 @@ def compare(manifest_path):
 
     fields_path = os.path.join(out_dir, "fields.csv")
     if os.path.exists(fields_path):
-        data = np.genfromtxt(fields_path, delimiter=",", names=True)
-        for t in np.unique(data["t"]):
-            sel = data[data["t"] == t]
-            if cfg.grid.dim == 1:
-                psi_exact = exact_field.psi(sel["y"], t)
-            else:
-                psi_exact = exact_field.psi(sel["y1"], sel["y2"], t)
-            err = np.abs(sel["re"] + 1j * sel["im"] - psi_exact)
+        # columns t, y[, y2], re, im
+        data = np.loadtxt(fields_path, delimiter=",", skiprows=1, ndmin=2)
+        for t in np.unique(data[:, 0]):
+            sel = data[data[:, 0] == t]
+            psi_exact = exact_field.psi(*sel[:, 1:1 + cfg.grid.dim].T, t)
+            err = np.abs(sel[:, -2] + 1j * sel[:, -1] - psi_exact)
             emax, erms = float(err.max()), float(np.sqrt(np.mean(err ** 2)))
             report_rows.append((f"field_t={t:.6g}", _fmt(emax),
                                 _fmt(erms)))
@@ -419,8 +419,7 @@ def compare(manifest_path):
     lines += error_lines
 
     _write_csv(os.path.join(out_dir, "errors.csv"),
-               ("quantity", "max_error", "secondary"),
-               list(zip(*report_rows)))
+               ("quantity", "max_error", "secondary"), report_rows)
     report = "\n".join(lines) + "\n"
     with open(os.path.join(out_dir, "report.txt"), "w",
               encoding="utf-8") as fh:

@@ -305,3 +305,22 @@ def test_one_particle_psi_grad_is_the_two_packets(one_field, y, t):
         assert np.array_equal(pa, ref)
         assert np.array_equal(da, -(y - params.Y) / (2.0 * s0 * st) * ref)
         assert np.array_equal(pa, a.psi(y, t))
+
+
+@pytest.mark.parametrize("which", ["one", "boson"])
+def test_large_stack_equals_short_chunks(which, one_field, boson_field):
+    # the default packets are those of fig6 and fig7_ci_reduced. Numpy
+    # turns array temporaries of 256 KiB or more into in-place operations,
+    # which can swap the operands of a complex multiply; each point must
+    # get the same bits in a 20,000-point stack as in a 100-point one.
+    fld = {"one": one_field, "boson": boson_field}[which]
+    pts = np.random.default_rng(7).uniform(-13.0, 13.0, (fld.dim, 20000))
+    t = 0.3
+    chunks = [pts[:, i:i + 100] for i in range(0, pts.shape[1], 100)]
+    p, grad = fld.psi_grad(*pts, t)
+    parts = [fld.psi_grad(*c, t) for c in chunks]
+    assert np.array_equal(fld.psi(*pts, t),
+                          np.concatenate([fld.psi(*c, t) for c in chunks]))
+    assert np.array_equal(p, np.concatenate([q for q, _ in parts]))
+    for d, g in enumerate(grad):
+        assert np.array_equal(g, np.concatenate([q[d] for _, q in parts]))

@@ -1,16 +1,18 @@
 """Scenario files, the runner, and the comparison harness."""
 
+import csv
 import hashlib
 import json
 import os
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from slitsim import cli, fd_solver
+from slitsim import bohm, cli, fd_solver
 from slitsim.config import (RunSpec, load_config, parse_config,
                             spec_from_dict, spec_to_dict)
 from slitsim.core import (MIN_POINTS, SOLVERS, ComplexField, MwlsConfig,
@@ -214,9 +216,9 @@ def test_run_fd_end_to_end(tmp_path):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_snapshot_columns_match_row_by_row_formatting(dim):
-    # the row loop the column writer replaced: repr(float(x)) per cell,
-    # rows over the grid in C order
+def test_snapshot_rows_match_row_by_row_formatting(dim):
+    # the plain row loop: repr(float(x)) per cell, rows over the grid in
+    # C order
     grid = UniformGrid(-1.0, 1.0, MIN_POINTS, dim=dim)
     rng = np.random.default_rng(dim)
     fld = ComplexField(grid, rng.normal(size=grid.shape),
@@ -225,8 +227,61 @@ def test_snapshot_columns_match_row_by_row_formatting(dim):
     rows = [tuple(repr(float(c)) for c in
                   (0.25, *y[list(i)], fld.re[i], fld.im[i]))
             for i in np.ndindex(grid.shape)]
-    columns = cli._snapshot_columns(0.25, fld, cli._fmt_column(y))
-    assert list(zip(*columns)) == rows
+    axis = list(cli._fmt_column(y))
+    assert list(cli._snapshot_rows(0.25, fld, axis)) == rows
+
+
+def test_write_csv_keeps_the_csv_module_bytes(tmp_path):
+    # the rows compare writes, and float cells that csv.writer might
+    # treat specially; written as a lazy generator
+    header = ("quantity", "max_error", "secondary")
+    cells = [repr(v) for v in (float("nan"), float("inf"), float("-inf"),
+                               -0.0, 5e-324, 1e16, 1e-05)] + ["0", "17"]
+    rows = [(status, a, b) for status in ("Valid", "Degraded")
+            for a, b in zip(cells, reversed(cells))]
+    rows.append(("trajectory_0", "", ""))
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    got = tmp_path / "got.csv"
+    cli._write_csv(str(got), header, (row for row in rows))
+    assert got.read_bytes() == ref.read_bytes()
+
+
+def test_fields_csv_is_streamed(tmp_path, monkeypatch):
+    # from the end of the trajectory pass to the written fields.csv of one
+    # 131x131 snapshot, traced memory may rise by less than 2 MiB: rows
+    # are formatted as they are written, not held as columns of strings
+    text = open(cli.scenario_path("fig7_ci_reduced"), encoding="utf-8").read()
+    text = (text.replace("t_final = 1.0", "t_final = 0.0005")
+            .replace("n_steps = 4000", "n_steps = 2")
+            .replace("snapshots = 1.0", "snapshots = 0.0005"))
+    marks = {}
+    integrate, write = bohm.integrate_family, cli._write_csv
+
+    def traced_integrate(*args, **kwargs):
+        out = integrate(*args, **kwargs)
+        tracemalloc.reset_peak()
+        marks["start"] = tracemalloc.get_traced_memory()[0]
+        return out
+
+    def traced_write(path, header, rows):
+        write(path, header, rows)
+        if path.endswith("fields.csv"):
+            marks["peak"] = tracemalloc.get_traced_memory()[1]
+
+    monkeypatch.setattr(bohm, "integrate_family", traced_integrate)
+    monkeypatch.setattr(cli, "_write_csv", traced_write)
+    tracemalloc.start()
+    try:
+        _, code = cli.run(_write(tmp_path, "fig7_cut.cfg", text),
+                          out_root=str(tmp_path / "runs"))
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert marks["peak"] - marks["start"] < 2 * 2 ** 20
 
 
 @pytest.mark.parametrize("scenario, columns", [
@@ -623,6 +678,27 @@ def test_flagged_deviation_matches_per_time_loop(one_field):
     assert n_flagged > 0      # the check saw node regions
 
 
+def _pinned_cut(tmp_path, scenario, edits, want):
+    """Run a bundled scenario with edits to its text, check the sha256 of
+    its CSVs against want and return the manifest."""
+    text = open(cli.scenario_path(scenario), encoding="utf-8").read()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    cfg_path = _write(tmp_path, f"{scenario}_cut.cfg", text)
+    manifest, code = cli.run(cfg_path, out_root=str(tmp_path / "runs"))
+    assert code == 0
+    for name, sha in want.items():
+        with open(os.path.join(manifest["out_dir"], name), "rb") as fh:
+            got = hashlib.sha256(fh.read()).hexdigest()
+        assert got == sha, (
+            f"{name} of the {scenario} cut changed (sha256 {got}). If only "
+            "numpy or the BLAS library changed, check the new bytes against "
+            "the old code on the same numpy/BLAS (git stash the src/ change, "
+            "rerun) and re-record the pinned sha256 from that run.")
+    return manifest
+
+
 # sha256 of the CSVs of a 20-step cut of fig6 (all 16 starts, 261
 # points). Speed work on the trajectory layer and the exact oracle must
 # keep every element's operations and their order; these bytes pin that.
@@ -635,20 +711,37 @@ FIG6_CUT_SHA256 = {
 
 
 def test_fig6_cut_csvs_are_pinned(tmp_path):
-    text = open(cli.scenario_path("fig6_one_particle"),
-                encoding="utf-8").read()
-    text = (text.replace("t_final = 1.0", "t_final = 0.004")
-            .replace("n_steps = 5000", "n_steps = 20")
-            .replace("snapshots = 1.0", "snapshots = 0.002"))
-    cfg_path = _write(tmp_path, "fig6_cut.cfg", text)
-    manifest, code = cli.run(cfg_path, out_root=str(tmp_path / "runs"))
-    assert code == 0
+    manifest = _pinned_cut(
+        tmp_path, "fig6_one_particle",
+        [("t_final = 1.0", "t_final = 0.004"),
+         ("n_steps = 5000", "n_steps = 20"),
+         ("snapshots = 1.0", "snapshots = 0.002")], FIG6_CUT_SHA256)
     assert len(manifest["errors"]["trajectories"]) == 16
-    for name, want in FIG6_CUT_SHA256.items():
-        with open(os.path.join(manifest["out_dir"], name), "rb") as fh:
-            got = hashlib.sha256(fh.read()).hexdigest()
-        assert got == want, (
-            f"{name} of the fig6 cut changed (sha256 {got}). If only numpy "
-            "or the BLAS library changed, check the new bytes against the "
-            "old code on the same numpy/BLAS (git stash the src/ change, "
-            "rerun) and re-record FIG6_CUT_SHA256 from that run.")
+
+
+# 10-step cuts of fig7_ci_reduced (131x131, two 2D starts, snapshots at
+# 0 and the end) and of fig3 (801 Lagrangian points, snapshots at 0 and
+# the end): the 2D field rows and the hydro rows, byte for byte.
+CUTS_2D_AND_HYDRO = {
+    "fig7_ci_reduced": (
+        [("t_final = 1.0", "t_final = 0.0025"),
+         ("n_steps = 4000", "n_steps = 10"),
+         ("snapshots = 1.0", "snapshots = 0.0, 0.0025")],
+        {"fields.csv": "b2fb578db9583ae293c51bcb2e06d59b"
+                       "738c4c08852004990ff4a6bd81ed6755",
+         "trajectories.csv": "c7853aab10368e0f74f9d0ce8912c7b9"
+                             "b6841254881093cbc91673bce6f21326"}),
+    "fig3_hydro_velocity": (
+        [("t_final = 0.01", "t_final = 0.0001"),
+         ("n_steps = 1000", "n_steps = 10"),
+         ("snapshots = 0, 0.005, 0.01", "snapshots = 0, 0.0001")],
+        {"diagnostics.csv": "0a2b6cffab7b005aa3e2f16ff1454461"
+                            "0b99028207e9104eaab06954e11e3ef5",
+         "trajectories.csv": "7ae2fddd9cf2979bc20a9ea8bfd96ba9"
+                             "12f10fd5658891994480dacc2421db38"}),
+}
+
+
+@pytest.mark.parametrize("scenario", CUTS_2D_AND_HYDRO)
+def test_2d_and_hydro_cut_csvs_are_pinned(tmp_path, scenario):
+    _pinned_cut(tmp_path, scenario, *CUTS_2D_AND_HYDRO[scenario])
