@@ -189,8 +189,7 @@ def run_fd(spec, out_dir):
 
 def run_hydro(spec, out_dir):
     cfg = spec.config
-    exact_field = field_for(cfg.packet, cfg.field_kind)
-    snapshots, diags = hydro_solver.propagate_hydro(cfg)
+    _, diags = hydro_solver.propagate_hydro(cfg)
 
     # t and y are formatted once: trajectories.csv repeats them
     ts = [_fmt(d.t) for d in diags]

@@ -24,15 +24,19 @@ differencing, in place: out = base + k L f, where L is the integer
 stencil of 12 delta^2 d^2/dy^2 (or 12 delta d/dy) summed over the chosen
 axes. For a Horner stage k = -+c dt / (24 delta^2) is folded into the
 weights, so the stage writes straight into the next stage's arrays with
-no separate Laplacian or right-hand side. Per axis, the interior is two
-scaled pair sums, f[i+1] + f[i-1] and f[i+2] + f[i-2] (differences for
-d/dy), in two work strips that every step reuses; the two edge points on
-each side are one (2 x 6) matmul. The axis terms are summed first, the
-same way on every axis, so an exchange-symmetric 2D field stays exactly
-symmetric; the centre term of all axes then goes on once. `gradient`
-runs the same kernel with the first-derivative weights. In 1D the
-polynomial is applied once to the identity, and each step is then one
-prebuilt real matrix pair: psi <- (P + iQ) psi.
+no separate Laplacian or right-hand side. The kernel works on the flat
+C-ordered arrays. Along an axis of flat stride s, the interior is two
+scaled pair sums, f[i+s] + f[i-s] and f[i+2s] + f[i-2s] (differences for
+d/dy), each one contiguous strip of the flat array, in work buffers
+that every step reuses. Along the last axis those strips also cover each
+line's two outermost points, where they read the neighbouring line; the
+edge stencils, one (2 x 6) matmul per side, overwrite them. The axis
+terms are summed first, the same way on every axis, so an
+exchange-symmetric 2D field stays exactly symmetric; the centre term of
+all axes then goes on once. `gradient` runs the same kernel with the
+first-derivative weights. In 1D the polynomial is applied once to the
+identity, and each step is then one prebuilt real matrix pair:
+psi <- (P + iQ) psi.
 """
 
 import math
@@ -93,64 +97,66 @@ _D1 = _folded(_FIRST, 1.0, 1)
 
 
 def _work_strips(shape, axes):
-    """Two flat work buffers, each large enough for one axis's interior
-    (the array less 4 points along that axis); GridTooSmall if an axis
-    is too short for the stencils."""
+    """One flat work buffer per axis, each the size of an array of
+    `shape`; GridTooSmall if an axis is too short for the stencils."""
     for a in axes:
         if shape[a] < MIN_POINTS:
             raise GridTooSmall(f"stencils need at least {MIN_POINTS} points "
                                f"per axis, got {shape[a]}")
-    size = max(math.prod(shape) // shape[a] * (shape[a] - 4) for a in axes)
-    return np.empty(size), np.empty(size)
+    return tuple(np.empty(math.prod(shape)) for _ in axes)
 
 
 def _apply(w, f, axes, out, work, base=None):
     """out = base + (stencil w along each of `axes`)(f), in place.
 
     f is 1D or 2D; out has its shape and shares no memory with f or base;
-    base None means no base term. work is a pair from _work_strips for
-    this shape or a larger one. The axis terms are summed before the
-    centre and base terms are added, and each axis takes the same
-    operations, so a symmetric 2D f gives a symmetric out.
+    both are C-contiguous (the flat views below are not copies; a caller
+    passes np.empty_like of a contiguous array). base None means no base
+    term. work is from _work_strips for these axes and this shape or a
+    larger one. The axis terms are summed before the centre and base
+    terms are added, and each axis takes the same operations, so a
+    symmetric 2D f gives a symmetric out.
     """
+    fl, ol = f.reshape(-1, copy=False), out.reshape(-1, copy=False)
+    n = fl.size
     for k, a in enumerate(axes):
-        lead = (slice(None),) * a
-
-        def cut(start, stop):
-            return lead + (slice(start, stop),)
-        inner = f[cut(2, -2)]
-        w1, w2 = (buf[:inner.size].reshape(inner.shape) for buf in work)
-        w.pair(f[cut(3, -1)], f[cut(1, -3)], out=w1)
-        w1 *= w.near
-        w.pair(f[cut(4, None)], f[cut(None, -4)], out=w2)
-        w2 *= w.far
+        s = math.prod(f.shape[a + 1:])
+        inner, far = ol[2 * s:n - 2 * s], work[0][:n - 4 * s]
+        # the first axis sums straight into out; a later one sums in its
+        # own buffer first, to add both pair sums to out at once
+        near = work[1][:n - 4 * s] if k else inner
+        w.pair(fl[3 * s:n - s], fl[s:n - 3 * s], out=near)
+        near *= w.near
+        w.pair(fl[4 * s:], fl[:n - 4 * s], out=far)
+        far *= w.far
         if a == 0:
             lo, hi = w.lo @ f[:6], w.hi @ f[-6:]
         else:   # the axis-0 product on the transposed columns, same bits
             lo = (w.lo @ f[:, :6].T.copy()).T
             hi = (w.hi @ f[:, -6:].T.copy()).T
+        lead = (slice(None),) * a
+        first, last = out[lead + (slice(2),)], out[lead + (slice(-2, None),)]
         if k:
-            w1 += w2
-            out[cut(2, -2)] += w1
-            out[cut(None, 2)] += lo
-            out[cut(-2, None)] += hi
+            # the edge terms so far, read before the strip add spills
+            # into them: the same bits as first += lo
+            lo += first
+            hi += last
+            near += far
+            inner += near
         else:
-            np.add(w1, w2, out=out[cut(2, -2)])
-            out[cut(None, 2)] = lo
-            out[cut(-2, None)] = hi
+            inner += far
+        first[...] = lo
+        last[...] = hi
     if w.centre:
-        strip = work[0][:f[2:-2].size].reshape(f[2:-2].shape)
-        np.multiply(f[2:-2], w.centre, out=strip)
-        out[2:-2] += strip
-        out[:2] += w.centre * f[:2]
-        out[-2:] += w.centre * f[-2:]
+        np.multiply(fl, w.centre, out=work[0][:n])
+        ol += work[0][:n]
     if base is not None:
         out += base
 
 
 def laplacian(values, grid):
-    """4th-order Laplacian; axis by axis on a square 2D grid."""
-    f = np.asarray(values, dtype=float)
+    """4th-order Laplacian, axis by axis."""
+    f = np.ascontiguousarray(values, dtype=float)
     axes = tuple(range(grid.dim))
     out = np.empty_like(f)
     _apply(_folded(_SECOND, 1.0 / (12.0 * grid.delta ** 2), grid.dim), f,
@@ -160,13 +166,14 @@ def laplacian(values, grid):
 
 def gradient(values, grid):
     """Tuple of 4th-order first derivatives, one per axis."""
-    f = np.asarray(values, dtype=float)
-    axes = tuple(range(grid.dim))
-    work = _work_strips(f.shape, axes)
+    f = np.ascontiguousarray(values, dtype=float)
     out = []
-    for a in axes:
+    for a in range(grid.dim):
         d = np.empty_like(f)
-        _apply(_D1, f, (a,), d, work)
+        # one work buffer per call: freeing two with the copy of f, all
+        # at once, made a 261^2 run fault 4x the pages (most likely
+        # glibc trimming its heap)
+        _apply(_D1, f, (a,), d, _work_strips(f.shape, (a,)))
         d /= 12.0 * grid.delta
         out.append(d)
     return tuple(out)
@@ -216,7 +223,8 @@ def iterate(field, dt, n_steps):
 
     Each yielded field owns new arrays."""
     grid = field.grid
-    re, im = field.re, field.im
+    # the 2D stencil kernel needs C-contiguous arrays (see _apply)
+    re, im = np.ascontiguousarray(field.re), np.ascontiguousarray(field.im)
     if grid.dim == 1:
         p, q = _step_matrices(grid, dt)
     else:

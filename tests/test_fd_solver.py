@@ -1,5 +1,7 @@
 """Finite-difference stencils and RK4 stepping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,49 @@ def test_stencils_match_the_written_out_formulas(n):
                          _written_out_axes(f, second=False)):
         want = want / (12.0 * g.delta)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("rows, cols", [
+    (slice(51, 80), slice(50, 81)),
+    (slice(51, 51 + MIN_POINTS), slice(50, 50 + MIN_POINTS)),
+], ids=["29x31", "min-points"])
+def test_stencils_on_a_block_view(rows, cols):
+    # velocity_field differentiates a non-contiguous block of the grid;
+    # along the last axis the flat strips wrap into the next line, which
+    # at MIN_POINTS is most of each line
+    g = UniformGrid(-2.0, 3.0, 131, dim=2)
+    block = np.random.default_rng(5).standard_normal(g.shape)[rows, cols]
+    assert not block.flags.c_contiguous
+    dense = np.ascontiguousarray(block)
+    got = fd_solver.laplacian(block, g)
+    assert np.array_equal(got, fd_solver.laplacian(dense, g))
+    down, along = _written_out_axes(dense, second=True)
+    want = (down + along) / (12.0 * g.delta ** 2)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    grads = fd_solver.gradient(block, g)
+    for got, same, want in zip(grads, fd_solver.gradient(dense, g),
+                               _written_out_axes(dense, second=False)):
+        assert np.array_equal(got, same)
+        want = want / (12.0 * g.delta)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_2d_kernel_allocates_no_grid_sized_copy():
+    # the flat views of f and out are views, not copies
+    shape, axes = (131, 131), (0, 1)
+    rng = np.random.default_rng(3)
+    f, base = rng.standard_normal(shape), rng.standard_normal(shape)
+    out = np.empty_like(f)
+    w = fd_solver._folded(fd_solver._SECOND, 0.5, len(axes))
+    work = fd_solver._work_strips(shape, axes)
+    fd_solver._apply(w, f, axes, out, work, base=base)    # warm-up
+    tracemalloc.start()
+    try:
+        fd_solver._apply(w, f, axes, out, work, base=base)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < f.nbytes
 
 
 @pytest.mark.parametrize("shape", [(MIN_POINTS, MIN_POINTS - 1),
