@@ -5,7 +5,9 @@ form (psi_R grad psi_I - psi_I grad psi_R) / (psi_R^2 + psi_I^2) with the
 4th-order first-derivative stencils; points whose density falls below
 EPS_NODE times the instantaneous peak are masked as undefined (NaN). The
 stencils run only on the block of the grid that holds the unmasked
-points, which gives the same numbers as the whole grid. Off-grid
+points, which gives the same numbers as the whole grid. For a 2D field
+with exchange parity (FdFieldProvider finds it once) they run along
+axis 0 only, and the second component is the transposed first. Off-grid
 values come from local cubic interpolation, whose nominal stencils take
 their nodes and Lagrange denominators from a table built once per grid
 (_weight_table). A stencil that touches a masked point is replaced, in
@@ -45,8 +47,15 @@ class VelocityField:
     mask: np.ndarray       # True where velocity is undefined (near-node)
 
 
-def velocity_field(field, t=0.0):
-    """Velocity at every grid point with near-node points masked."""
+def velocity_field(field, t=0.0, parity=0):
+    """Velocity at every grid point with near-node points masked.
+
+    parity s = +-1 is the field's fd_solver.exchange_parity. Only the
+    axis-0 gradients are then taken, and the second component is a
+    C-contiguous copy of the transposed first: the values of both
+    gradients, NaN for NaN, except that a zero velocity may take the
+    other sign, which interpolation drops (its sums start from +0).
+    """
     grid = field.grid
     dens = field.re * field.re
     dens += field.im * field.im
@@ -54,14 +63,17 @@ def velocity_field(field, t=0.0):
     dens[mask] = np.nan         # masked velocities come out NaN
     box = _unmasked_box(mask)
     re, im, dens = field.re[box], field.im[box], dens[box]
+    axes = (0,) if parity else None
     comps = []
-    for gr, gi in zip(fd_solver.gradient(re, grid),
-                      fd_solver.gradient(im, grid)):
+    for gr, gi in zip(fd_solver.gradient(re, grid, axes),
+                      fd_solver.gradient(im, grid, axes)):
         v = re * gi
         v -= im * gr
         comp = np.full(grid.shape, np.nan)
         np.divide(v, dens, out=comp[box])
         comps.append(comp)
+    if parity:
+        comps.append(np.ascontiguousarray(comps[0].T))
     return VelocityField(grid=grid, t=t, components=tuple(comps), mask=mask)
 
 
@@ -217,19 +229,22 @@ class FdFieldProvider:
 
     Iterating steps the finite-difference solver one dt at a time from
     the initial field and yields the pair at k*dt for k = 0 ... n_steps;
-    nothing is kept between steps.
+    nothing is kept between steps. exchange_parity, that of the initial
+    field, serves every velocity field.
     """
 
     def __init__(self, initial_field, dt, n_steps):
         self.initial_field = initial_field
         self.dt = dt
         self.n_steps = n_steps
+        self.exchange_parity = fd_solver.exchange_parity(initial_field)
 
     def __iter__(self):
-        yield self.initial_field, velocity_field(self.initial_field, 0.0)
+        s = self.exchange_parity
+        yield self.initial_field, velocity_field(self.initial_field, 0.0, s)
         for t, fld in fd_solver.iterate(self.initial_field, self.dt,
                                         self.n_steps):
-            yield fld, velocity_field(fld, t)
+            yield fld, velocity_field(fld, t, s)
 
 
 def _rk4_stack(r, dt, va, vb):

@@ -100,6 +100,8 @@ def _flagged_deviation(traj, exact_traj, exact_field):
 
 
 def run_fd(spec, out_dir):
+    """FD run: (status, errors, files, entries for the manifest), the
+    entries being the exchange parity the solver found (1, -1 or 0)."""
     cfg = spec.config
     exact_field = field_for(cfg.packet, cfg.field_kind)
     initial = sample_field(exact_field, cfg.grid, 0.0)
@@ -184,7 +186,8 @@ def run_fd(spec, out_dir):
         "trajectories": traj_summary,
         "crossings": crossings,
     }
-    return status, errors, files
+    return status, errors, files, {
+        "exchange_parity": provider.exchange_parity}
 
 
 def run_hydro(spec, out_dir):
@@ -319,10 +322,11 @@ def run(config_path, out_root=None):
     os.makedirs(out_dir, exist_ok=True)
 
     start = time.perf_counter()
+    extra = {}      # manifest entries of one kind of run
     if spec.mode == "qp_study":
         status, errors, files = run_qp_study(spec, out_dir)
     elif spec.config.solver == "schrodinger_fd":
-        status, errors, files = run_fd(spec, out_dir)
+        status, errors, files, extra = run_fd(spec, out_dir)
     else:
         status, errors, files = run_hydro(spec, out_dir)
     wall = time.perf_counter() - start
@@ -338,6 +342,7 @@ def run(config_path, out_root=None):
         "status": status,
         "wall_time_s": wall,
         "n_steps": spec.config.n_steps,
+        **extra,
         "versions": {"python": sys.version.split()[0],
                      "numpy": np.__version__},
         "errors": errors,

@@ -33,7 +33,13 @@ line's two outermost points, where they read the neighbouring line; the
 edge stencils, one (2 x 6) matmul per side, overwrite them. The axis
 terms are summed first, the same way on every axis, so an
 exchange-symmetric 2D field stays exactly symmetric; the centre term of
-all axes then goes on once. `gradient` runs the same kernel with the
+all axes then goes on once. A 2D field of two identical particles has
+exchange parity s (f.T == s f exactly; +1 bosons, -1 fermions). iterate
+finds s once, from the initial field; each stage then differences axis
+0 only, into a work buffer A, and adds the axis-1 term as s A.T: the
+bits of differencing both axes, since axis 1 takes the same operations
+on the same values up to an exact negation, and addition commutes.
+`gradient` runs the same kernel with the
 first-derivative weights. In 1D the polynomial is applied once to the
 identity, and each step is then one prebuilt real matrix pair:
 psi <- (P + iQ) psi.
@@ -49,7 +55,8 @@ from .errors import GridTooSmall
 
 # laplacian is not used by the stepper; it stays public for callers that
 # want the stencil Laplacian of a sampled function.
-__all__ = ["NORM_TOLERANCE", "gradient", "iterate", "laplacian"]
+__all__ = ["NORM_TOLERANCE", "exchange_parity", "gradient", "iterate",
+           "laplacian"]
 
 # Integer stencil weights, as ((centre, +-1, +-2) of the 5-point central
 # formula, (the 6-point rows at index 0 and at index 1), parity). The
@@ -106,7 +113,7 @@ def _work_strips(shape, axes):
     return tuple(np.empty(math.prod(shape)) for _ in axes)
 
 
-def _apply(w, f, axes, out, work, base=None):
+def _apply(w, f, axes, out, work, base=None, parity=0):
     """out = base + (stencil w along each of `axes`)(f), in place.
 
     f is 1D or 2D; out has its shape and shares no memory with f or base;
@@ -116,14 +123,20 @@ def _apply(w, f, axes, out, work, base=None):
     larger one. The axis terms are summed before the centre and base
     terms are added, and each axis takes the same operations, so a
     symmetric 2D f gives a symmetric out.
+
+    parity s = +-1: f is 2D with f.T == s f exactly and axes is (0, 1);
+    only axis 0 is differenced, into work[1], and out = A + s A.T.
     """
-    fl, ol = f.reshape(-1, copy=False), out.reshape(-1, copy=False)
+    fl = f.reshape(-1, copy=False)
     n = fl.size
-    for k, a in enumerate(axes):
+    # the axis terms: straight into out, or the axis-0 term into work[1]
+    terms = work[1][:n].reshape(f.shape) if parity else out
+    tl = terms.reshape(-1, copy=False)
+    for k, a in enumerate((0,) if parity else axes):
         s = math.prod(f.shape[a + 1:])
-        inner, far = ol[2 * s:n - 2 * s], work[0][:n - 4 * s]
-        # the first axis sums straight into out; a later one sums in its
-        # own buffer first, to add both pair sums to out at once
+        inner, far = tl[2 * s:n - 2 * s], work[0][:n - 4 * s]
+        # the first axis sums straight into terms; a later one sums in
+        # its own buffer first, to add both pair sums to terms at once
         near = work[1][:n - 4 * s] if k else inner
         w.pair(fl[3 * s:n - s], fl[s:n - 3 * s], out=near)
         near *= w.near
@@ -135,7 +148,8 @@ def _apply(w, f, axes, out, work, base=None):
             lo = (w.lo @ f[:, :6].T.copy()).T
             hi = (w.hi @ f[:, -6:].T.copy()).T
         lead = (slice(None),) * a
-        first, last = out[lead + (slice(2),)], out[lead + (slice(-2, None),)]
+        first = terms[lead + (slice(2),)]
+        last = terms[lead + (slice(-2, None),)]
         if k:
             # the edge terms so far, read before the strip add spills
             # into them: the same bits as first += lo
@@ -147,6 +161,9 @@ def _apply(w, f, axes, out, work, base=None):
             inner += far
         first[...] = lo
         last[...] = hi
+    if parity:
+        (np.add if parity > 0 else np.subtract)(terms, terms.T, out=out)
+    ol = out.reshape(-1, copy=False)
     if w.centre:
         np.multiply(fl, w.centre, out=work[0][:n])
         ol += work[0][:n]
@@ -164,11 +181,12 @@ def laplacian(values, grid):
     return out
 
 
-def gradient(values, grid):
-    """Tuple of 4th-order first derivatives, one per axis."""
+def gradient(values, grid, axes=None):
+    """Tuple of 4th-order first derivatives, one per axis of `axes`
+    (default: every axis)."""
     f = np.ascontiguousarray(values, dtype=float)
     out = []
-    for a in range(grid.dim):
+    for a in range(grid.dim) if axes is None else axes:
         d = np.empty_like(f)
         # one work buffer per call: freeing two with the copy of f, all
         # at once, made a 261^2 run fault 4x the pages (most likely
@@ -181,10 +199,12 @@ def gradient(values, grid):
 
 class _Rk4:
     """RK4 steps of the split system on arrays of at most `shape`, with
-    the stencils along `axes`; the work strips serve every step."""
+    the stencils along `axes`; the work strips serve every step. parity
+    is that of the fields stepped (see _apply)."""
 
-    def __init__(self, shape, axes, delta, dt):
+    def __init__(self, shape, axes, delta, dt, parity=0):
         self.axes = axes
+        self.parity = parity
         h = [0.5 * c * dt / (12.0 * delta ** 2) for c in _HORNER]
         self.stages = [(_folded(_SECOND, -k, len(axes)),
                         _folded(_SECOND, k, len(axes))) for k in h]
@@ -195,8 +215,8 @@ class _Rk4:
         ur, ui = re, im
         for wr, wi in self.stages:
             nr, ni = np.empty_like(re), np.empty_like(im)
-            _apply(wr, ui, self.axes, nr, self.work, base=re)
-            _apply(wi, ur, self.axes, ni, self.work, base=im)
+            _apply(wr, ui, self.axes, nr, self.work, re, self.parity)
+            _apply(wi, ur, self.axes, ni, self.work, im, self.parity)
             ur, ui = nr, ni
         return ur, ui
 
@@ -218,17 +238,32 @@ def _step_matrices(grid, dt, block=32):
     return p, q
 
 
+def exchange_parity(field):
+    """s = +1 or -1 if the 2D field has re.T == s re and im.T == s im
+    exactly (+0 equal to -0, for an antisymmetric diagonal), else 0;
+    0 in 1D. Each RK4 step keeps it."""
+    if field.grid.dim != 2:
+        return 0
+    for s in (1, -1):
+        if all(np.array_equal(a.T, a if s > 0 else -a)
+               for a in (field.re, field.im)):
+            return s
+    return 0
+
+
 def iterate(field, dt, n_steps):
     """Yield (t, field) after each of n_steps RK4 steps from t=0 (lazy).
 
-    Each yielded field owns new arrays."""
+    Each yielded field owns new arrays. The exchange parity of the
+    initial field is found once, and each stage uses it (_apply)."""
     grid = field.grid
     # the 2D stencil kernel needs C-contiguous arrays (see _apply)
     re, im = np.ascontiguousarray(field.re), np.ascontiguousarray(field.im)
     if grid.dim == 1:
         p, q = _step_matrices(grid, dt)
     else:
-        rk4 = _Rk4(grid.shape, (0, 1), grid.delta, dt)
+        rk4 = _Rk4(grid.shape, (0, 1), grid.delta, dt,
+                   exchange_parity(field))
     for k in range(n_steps):
         if grid.dim == 1:
             re, im = p @ re - q @ im, q @ re + p @ im

@@ -90,6 +90,23 @@ def test_velocity_field_equals_the_whole_grid_formula(grid, t):
     assert block[0].stop - block[0].start < grid.n
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_parity_velocity_field_equals_the_general_path(sign):
+    # at t = 0 (psi real) and after some steps, with masked tails; a zero
+    # velocity may differ in its sign, so values are compared, NaN to NaN
+    g = UniformGrid(-13.0, 13.0, 131, dim=2)
+    initial = analytic.sample_field(analytic.TwoParticleField(
+        WavePacketParams(particles=2, exchange_sign=sign)), g, 0.0)
+    provider = bohm.FdFieldProvider(initial, 2.5e-4, 8)
+    assert provider.exchange_parity == sign
+    for fld, vf in provider:
+        want = bohm.velocity_field(fld, vf.t)
+        assert vf.mask.any() and np.array_equal(vf.mask, want.mask)
+        for got, w in zip(vf.components, want.components):
+            assert np.array_equal(got, w, equal_nan=True)
+        assert vf.components[1].flags.c_contiguous
+
+
 def test_interpolation_on_node_matches_grid_value():
     g = UniformGrid(-2.0, 2.0, 41)
     vf = _synthetic_vf(g, lambda y: np.tanh(y))

@@ -745,3 +745,31 @@ CUTS_2D_AND_HYDRO = {
 @pytest.mark.parametrize("scenario", CUTS_2D_AND_HYDRO)
 def test_2d_and_hydro_cut_csvs_are_pinned(tmp_path, scenario):
     _pinned_cut(tmp_path, scenario, *CUTS_2D_AND_HYDRO[scenario])
+
+
+def test_fd_manifest_records_the_exchange_parity(tmp_path):
+    # a 2D boson run differences one axis and transposes (1); losing the
+    # exact symmetry would show as 0
+    manifest = _pinned_cut(tmp_path, "fig7_ci_reduced",
+                           *CUTS_2D_AND_HYDRO["fig7_ci_reduced"])
+    assert manifest["exchange_parity"] == 1
+    cfg_path = _write(tmp_path, "tiny.cfg", FD_CFG)
+    manifest, _ = cli.run(cfg_path, out_root=str(tmp_path / "runs"))
+    assert manifest["exchange_parity"] == 0
+
+
+# The fig7_ci_reduced cut above for two fermions, recorded before the 2D
+# stepper and velocity fields took the axis-1 terms from the transposed
+# axis-0 ones: antisymmetry keeps every bit too.
+FERMION_CUT = (
+    CUTS_2D_AND_HYDRO["fig7_ci_reduced"][0]
+    + [("exchange_sign = 1", "exchange_sign = -1")],
+    {"fields.csv": "018d11424c90f5e78a6d040776685b22"
+                   "c3e90f28eb95353329872ad7a52ad0c3",
+     "trajectories.csv": "85f88b6507e5fb19b4300e04132fdbe9"
+                         "f2df4d9c603df54072b7830b9ffb624c"})
+
+
+def test_fermion_cut_csvs_are_pinned(tmp_path):
+    manifest = _pinned_cut(tmp_path, "fig7_ci_reduced", *FERMION_CUT)
+    assert manifest["exchange_parity"] == -1

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from slitsim import analytic, fd_solver
-from slitsim.core import (MIN_POINTS, ScenarioConfig, UniformGrid,
-                          WavePacketParams, norm)
+from slitsim.core import (MIN_POINTS, ComplexField, ScenarioConfig,
+                          UniformGrid, WavePacketParams, norm)
 from slitsim.errors import GridTooSmall
 
 
@@ -261,6 +261,103 @@ def test_exchange_symmetry_is_exact_in_2d(boson_field):
     for _, fld in fd_solver.iterate(initial, 1e-3, 5):
         assert np.array_equal(fld.re, fld.re.T)
         assert np.array_equal(fld.im, fld.im.T)
+
+
+def test_exchange_antisymmetry_is_exact_in_2d(fermion_field):
+    # psi(y1, y2) = -psi(y2, y1) to the last bit, so the parity found at
+    # the start holds at every step
+    g = UniformGrid(-6.0, 6.0, 41, dim=2)
+    initial = analytic.sample_field(fermion_field, g, 0.0)
+    assert fd_solver.exchange_parity(initial) == -1
+    for _, fld in fd_solver.iterate(initial, 1e-3, 5):
+        assert np.array_equal(fld.re.T, -fld.re)
+        assert np.array_equal(fld.im.T, -fld.im)
+        assert fd_solver.exchange_parity(fld) == -1
+
+
+def _bits(a):
+    return a.view(np.uint64)
+
+
+def _with_parity(rng, shape, s):
+    """A random 2D array a with a.T == s a exactly."""
+    g = rng.standard_normal(shape)
+    return g + g.T if s > 0 else g - g.T
+
+
+@pytest.mark.parametrize("n", [MIN_POINTS, 41, 131])
+@pytest.mark.parametrize("s", [1, -1])
+def test_parity_stage_equals_the_two_axis_kernel(n, s):
+    # the axis-1 term taken as s A.T has the bits of differencing axis 1
+    shape, axes = (n, n), (0, 1)
+    rng = np.random.default_rng(n)
+    f, base = _with_parity(rng, shape, s), _with_parity(rng, shape, s)
+    w = fd_solver._folded(fd_solver._SECOND, -0.37, len(axes))
+    work = fd_solver._work_strips(shape, axes)
+    want, got = np.empty_like(f), np.empty_like(f)
+    fd_solver._apply(w, f, axes, want, work, base=base)
+    fd_solver._apply(w, f, axes, got, work, base=base, parity=s)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(got.T, s * got)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_parity_steps_equal_two_axis_steps(sign):
+    # sampled fields, with their underflowed zero tails, stepped both ways
+    g = UniformGrid(-13.0, 13.0, 41, dim=2)
+    initial = analytic.sample_field(analytic.TwoParticleField(
+        WavePacketParams(particles=2, exchange_sign=sign)), g, 0.0)
+    general = fd_solver._Rk4(g.shape, (0, 1), g.delta, 2.5e-4)
+    parity = fd_solver._Rk4(g.shape, (0, 1), g.delta, 2.5e-4, sign)
+    want = got = (initial.re, initial.im)
+    for _ in range(20):
+        want, got = general.step(*want), parity.step(*got)
+        for a, b in zip(got, want):
+            assert np.array_equal(_bits(a), _bits(b))
+
+
+def test_parity_kernel_allocates_no_grid_sized_copy():
+    # A.T is read as a strided view, not copied
+    shape, axes = (131, 131), (0, 1)
+    rng = np.random.default_rng(3)
+    f, base = _with_parity(rng, shape, 1), _with_parity(rng, shape, 1)
+    out = np.empty_like(f)
+    w = fd_solver._folded(fd_solver._SECOND, 0.5, len(axes))
+    work = fd_solver._work_strips(shape, axes)
+    fd_solver._apply(w, f, axes, out, work, base=base, parity=1)
+    tracemalloc.start()
+    try:
+        fd_solver._apply(w, f, axes, out, work, base=base, parity=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < f.nbytes
+
+
+def test_a_field_off_parity_takes_the_two_axis_path(monkeypatch, one_field,
+                                                   boson_field):
+    g = UniformGrid(-6.0, 6.0, 41, dim=2)
+    (_, sym), = fd_solver.iterate(analytic.sample_field(boson_field, g, 0.0),
+                                  1e-3, 1)
+    re = sym.re.copy()
+    re[3, 17] = np.nextafter(re[3, 17], np.inf)     # one ulp off
+    off = ComplexField(grid=g, re=re, im=sym.im)
+    assert fd_solver.exchange_parity(sym) == 1
+    assert fd_solver.exchange_parity(off) == 0
+    line = UniformGrid(-13.0, 13.0, 61)
+    assert fd_solver.exchange_parity(
+        analytic.sample_field(one_field, line, 0.0)) == 0
+    kernel, parities = fd_solver._apply, []
+
+    def spy(*args):
+        parities.append(args[6])
+        kernel(*args)
+    monkeypatch.setattr(fd_solver, "_apply", spy)
+    for fld, want in ((sym, 1), (off, 0)):
+        parities.clear()
+        for _ in fd_solver.iterate(fld, 1e-3, 2):
+            pass
+        assert parities == [want] * 16
 
 
 def test_symmetry_preserved_by_stepping(one_field):
