@@ -409,7 +409,11 @@ def compare(manifest_path):
     fields_path = os.path.join(out_dir, "fields.csv")
     if os.path.exists(fields_path):
         # columns t, y[, y2], re, im
-        data = np.loadtxt(fields_path, delimiter=",", skiprows=1, ndmin=2)
+        try:
+            data = np.loadtxt(fields_path, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise SlitsimError(f"{fields_path} is not a fields CSV "
+                               f"({type(exc).__name__}: {exc})") from exc
         for t in np.unique(data[:, 0]):
             sel = data[data[:, 0] == t]
             psi_exact = exact_field.psi(*sel[:, 1:1 + cfg.grid.dim].T, t)

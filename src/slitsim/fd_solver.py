@@ -24,25 +24,21 @@ differencing, in place: out = base + k L f, where L is the integer
 stencil of 12 delta^2 d^2/dy^2 (or 12 delta d/dy) summed over the chosen
 axes. For a Horner stage k = -+c dt / (24 delta^2) is folded into the
 weights, so the stage writes straight into the next stage's arrays with
-no separate Laplacian or right-hand side. The kernel works on the flat
-C-ordered arrays. Along an axis of flat stride s, the interior is two
-scaled pair sums, f[i+s] + f[i-s] and f[i+2s] + f[i-2s] (differences for
-d/dy), each one contiguous strip of the flat array, in work buffers
-that every step reuses. Along the last axis those strips also cover each
-line's two outermost points, where they read the neighbouring line; the
-edge stencils, one (2 x 6) matmul per side, overwrite them. The axis
-terms are summed first, the same way on every axis, so an
-exchange-symmetric 2D field stays exactly symmetric; the centre term of
-all axes then goes on once. A 2D field of two identical particles has
-exchange parity s (f.T == s f exactly; +1 bosons, -1 fermions). iterate
-finds s once, from the initial field; each stage then differences axis
-0 only, into a work buffer A, and adds the axis-1 term as s A.T: the
-bits of differencing both axes, since axis 1 takes the same operations
-on the same values up to an exact negation, and addition commutes.
-`gradient` runs the same kernel with the
-first-derivative weights. In 1D the polynomial is applied once to the
-identity, and each step is then one prebuilt real matrix pair:
-psi <- (P + iQ) psi.
+no separate Laplacian or right-hand side. Only axis 0 is differenced
+(`_down`), on the flat C-ordered arrays: with s the flat stride of a
+row, the interior is two scaled pair sums, f[i+s] + f[i-s] and
+f[i+2s] + f[i-2s] (differences for d/dy), each one contiguous strip,
+and the edge stencils, one (2 x 6) matmul per side, write rows 0, 1, -2
+and -1. In 2D, out = A + B.T, with A the axis-0 term of f and B that of
+f.T; the centre term of both axes then goes on once. Both axes take the
+same operations, so an exchange-symmetric field stays exactly
+symmetric. A 2D field of two identical particles has exchange parity s
+(f.T == s f exactly; +1 bosons, -1 fermions), which iterate finds once,
+from the initial field; each stage then takes B = s A, the same bits
+without the transposed copy. `gradient` runs the same kernel with the
+first-derivative weights, along axis 1 on the transpose. In 1D the
+polynomial is applied once to the identity, and each step is then one
+prebuilt real matrix pair: psi <- (P + iQ) psi.
 """
 
 import math
@@ -53,8 +49,8 @@ import numpy as np
 from .core import MIN_POINTS, ComplexField
 from .errors import GridTooSmall
 
-# laplacian is not used by the stepper; it stays public for callers that
-# want the stencil Laplacian of a sampled function.
+# No module of the package calls laplacian. It stays for the tests and
+# for perfbench/layer_trace.py, which wraps it; --trace 1 fails without it.
 __all__ = ["NORM_TOLERANCE", "exchange_parity", "gradient", "iterate",
            "laplacian"]
 
@@ -103,70 +99,64 @@ def _folded(stencil, scale, n_axes):
 _D1 = _folded(_FIRST, 1.0, 1)
 
 
-def _work_strips(shape, axes):
-    """One flat work buffer per axis, each the size of an array of
-    `shape`; GridTooSmall if an axis is too short for the stencils."""
+def _work_strips(shape, axes, parity=0):
+    """The flat work buffers of _apply along `axes` on arrays of at most
+    `shape`, each of their size: one for axis 0 alone; for both axes two
+    with exchange parity, four without (f.T and its term); GridTooSmall
+    if an axis is too short for the stencils."""
     for a in axes:
         if shape[a] < MIN_POINTS:
             raise GridTooSmall(f"stencils need at least {MIN_POINTS} points "
                                f"per axis, got {shape[a]}")
-    return tuple(np.empty(math.prod(shape)) for _ in axes)
+    count = 1 if len(axes) == 1 else 2 if parity else 4
+    return tuple(np.empty(math.prod(shape)) for _ in range(count))
+
+
+def _down(w, f, out, far):
+    """out = (stencil w along axis 0)(f), less the centre term.
+
+    f is a C-contiguous 1D or 2D array and out one of its shape (the flat
+    views below are not copies); far is a flat work buffer of at least
+    f.size. s is the flat stride of axis 0."""
+    fl, ol = f.reshape(-1, copy=False), out.reshape(-1, copy=False)
+    n = fl.size
+    s = n // len(f)
+    near, far = ol[2 * s:n - 2 * s], far[:n - 4 * s]
+    w.pair(fl[3 * s:n - s], fl[s:n - 3 * s], out=near)
+    near *= w.near
+    w.pair(fl[4 * s:], fl[:n - 4 * s], out=far)
+    far *= w.far
+    near += far
+    out[:2] = w.lo @ f[:6]
+    out[-2:] = w.hi @ f[-6:]
 
 
 def _apply(w, f, axes, out, work, base=None, parity=0):
     """out = base + (stencil w along each of `axes`)(f), in place.
 
     f is 1D or 2D; out has its shape and shares no memory with f or base;
-    both are C-contiguous (the flat views below are not copies; a caller
-    passes np.empty_like of a contiguous array). base None means no base
-    term. work is from _work_strips for these axes and this shape or a
-    larger one. The axis terms are summed before the centre and base
-    terms are added, and each axis takes the same operations, so a
-    symmetric 2D f gives a symmetric out.
-
-    parity s = +-1: f is 2D with f.T == s f exactly and axes is (0, 1);
-    only axis 0 is differenced, into work[1], and out = A + s A.T.
+    both are C-contiguous (a caller passes np.empty_like of a contiguous
+    array). axes is (0,), or (0, 1) for a 2D f. base None means no base
+    term. work is from _work_strips for these axes, this parity and this
+    shape or a larger one. For axis 0 alone the axis-0 term goes straight
+    into out; for both axes out = A + B.T (module docstring), B = s A
+    for exchange parity s = +-1 (f.T == s f exactly). The centre and base
+    terms go on last, so a symmetric 2D f gives a symmetric out.
     """
-    fl = f.reshape(-1, copy=False)
-    n = fl.size
-    # the axis terms: straight into out, or the axis-0 term into work[1]
-    terms = work[1][:n].reshape(f.shape) if parity else out
-    tl = terms.reshape(-1, copy=False)
-    for k, a in enumerate((0,) if parity else axes):
-        s = math.prod(f.shape[a + 1:])
-        inner, far = tl[2 * s:n - 2 * s], work[0][:n - 4 * s]
-        # the first axis sums straight into terms; a later one sums in
-        # its own buffer first, to add both pair sums to terms at once
-        near = work[1][:n - 4 * s] if k else inner
-        w.pair(fl[3 * s:n - s], fl[s:n - 3 * s], out=near)
-        near *= w.near
-        w.pair(fl[4 * s:], fl[:n - 4 * s], out=far)
-        far *= w.far
-        if a == 0:
-            lo, hi = w.lo @ f[:6], w.hi @ f[-6:]
-        else:   # the axis-0 product on the transposed columns, same bits
-            lo = (w.lo @ f[:, :6].T.copy()).T
-            hi = (w.hi @ f[:, -6:].T.copy()).T
-        lead = (slice(None),) * a
-        first = terms[lead + (slice(2),)]
-        last = terms[lead + (slice(-2, None),)]
-        if k:
-            # the edge terms so far, read before the strip add spills
-            # into them: the same bits as first += lo
-            lo += first
-            hi += last
-            near += far
-            inner += near
-        else:
-            inner += far
-        first[...] = lo
-        last[...] = hi
-    if parity:
-        (np.add if parity > 0 else np.subtract)(terms, terms.T, out=out)
-    ol = out.reshape(-1, copy=False)
+    n = f.size
+    if len(axes) == 1:
+        _down(w, f, out, work[0])
+    else:
+        a = b = work[1][:n].reshape(f.shape)
+        _down(w, f, a, work[0])
+        if not parity:
+            ft = work[2][:n].reshape(f.shape[::-1])
+            np.copyto(ft, f.T)
+            b = work[3][:n].reshape(ft.shape)
+            _down(w, ft, b, work[0])
+        (np.subtract if parity < 0 else np.add)(a, b.T, out=out)
     if w.centre:
-        np.multiply(fl, w.centre, out=work[0][:n])
-        ol += work[0][:n]
+        out += np.multiply(f, w.centre, out=work[0][:n].reshape(f.shape))
     if base is not None:
         out += base
 
@@ -183,23 +173,25 @@ def laplacian(values, grid):
 
 def gradient(values, grid, axes=None):
     """Tuple of 4th-order first derivatives, one per axis of `axes`
-    (default: every axis)."""
+    (default: every axis); along axis 1, the axis-0 derivative of the
+    transpose, transposed back."""
     f = np.ascontiguousarray(values, dtype=float)
     out = []
     for a in range(grid.dim) if axes is None else axes:
-        d = np.empty_like(f)
+        g = np.ascontiguousarray(f.T) if a else f
+        d = np.empty_like(g)
         # one work buffer per call: freeing two with the copy of f, all
         # at once, made a 261^2 run fault 4x the pages (most likely
         # glibc trimming its heap)
-        _apply(_D1, f, (a,), d, _work_strips(f.shape, (a,)))
+        _apply(_D1, g, (0,), d, _work_strips(g.shape, (0,)))
         d /= 12.0 * grid.delta
-        out.append(d)
+        out.append(d.T if a else d)
     return tuple(out)
 
 
 class _Rk4:
     """RK4 steps of the split system on arrays of at most `shape`, with
-    the stencils along `axes`; the work strips serve every step. parity
+    the stencils along `axes`; the work buffers serve every step. parity
     is that of the fields stepped (see _apply)."""
 
     def __init__(self, shape, axes, delta, dt, parity=0):
@@ -208,7 +200,7 @@ class _Rk4:
         h = [0.5 * c * dt / (12.0 * delta ** 2) for c in _HORNER]
         self.stages = [(_folded(_SECOND, -k, len(axes)),
                         _folded(_SECOND, k, len(axes))) for k in h]
-        self.work = _work_strips(shape, axes)
+        self.work = _work_strips(shape, axes, parity)
 
     def step(self, re, im):
         """(re, im) one step on, as new arrays."""

@@ -615,6 +615,23 @@ def test_compare_unreadable_manifest_is_an_error(tmp_path, capsys, text):
     assert err.startswith("error: ") and "not a run manifest" in err
 
 
+def test_compare_malformed_fields_csv_is_an_error(tmp_path, capsys):
+    cfg_path = _write(tmp_path, "tiny.cfg", FD_CFG)
+    out = str(tmp_path / "runs")
+    assert cli.main(["run", cfg_path, "--out", out]) == 0
+    fields = os.path.join(out, "tiny_fd", "fields.csv")
+    with open(fields, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    lines[2] = "0.01,abc,1,2\r\n"
+    with open(fields, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(lines)
+    capsys.readouterr()
+    assert cli.main(["compare",
+                     os.path.join(out, "tiny_fd", "manifest.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fields} is not a fields CSV (")
+
+
 def test_masked_and_truncated_starts_are_reported(tmp_path, capsys):
     # 2.3 reaches a masked stencil mid-run; 5.0 is masked from t=0
     text = FD_CFG.replace("trajectory.starts = 0.8; -0.8",

@@ -1,11 +1,12 @@
 """Finite-difference stencils and RK4 stepping."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from slitsim import analytic, fd_solver
+from slitsim import analytic, bohm, fd_solver
 from slitsim.core import (MIN_POINTS, ComplexField, ScenarioConfig,
                           UniformGrid, WavePacketParams, norm)
 from slitsim.errors import GridTooSmall
@@ -103,8 +104,8 @@ def test_stencils_match_the_written_out_formulas(n):
 ], ids=["29x31", "min-points"])
 def test_stencils_on_a_block_view(rows, cols):
     # velocity_field differentiates a non-contiguous block of the grid;
-    # along the last axis the flat strips wrap into the next line, which
-    # at MIN_POINTS is most of each line
+    # the stencils take a contiguous copy, and along axis 1 a contiguous
+    # copy of its transpose, which at MIN_POINTS is only just long enough
     g = UniformGrid(-2.0, 3.0, 131, dim=2)
     block = np.random.default_rng(5).standard_normal(g.shape)[rows, cols]
     assert not block.flags.c_contiguous
@@ -358,6 +359,41 @@ def test_a_field_off_parity_takes_the_two_axis_path(monkeypatch, one_field,
         for _ in fd_solver.iterate(fld, 1e-3, 2):
             pass
         assert parities == [want] * 16
+
+
+# sha256 of uint64 bits of the general two-axis path. The parity tests
+# above compare it with the parity path, and both share one axis-0
+# routine, so a slip there would move both; these bits pin it alone.
+# The field one ulp off exchange symmetry is symmetric again after one
+# step (the ulp sits in its 7e-33 tail), so the Laplacian of a field
+# with no symmetry, on a non-square array, pins the transposed term.
+GENERAL_PATH_SHA256 = {
+    "re": "d95d4e8549ba75880b1fa8e884ffa065e66f304adcca1fa108ab4fe77457b28d",
+    "im": "2e6fa607bdd0b2a0f16c80c82ee5e71424f51aab8ce8fa8a467ec70237aa66cd",
+    "v0": "24c7b0f20936752b67f5d4b3d6703aadf1a61ef8307c6ff8997b1ec7b49dcc14",
+    "v1": "aa4e2a6de2c0a7b29cfd1f0942cbff874adef7b6afcbf85f733fcfc26630bef3",
+    "lap": "e147fd952fa4e29e801cf80743e4ba9afca5b3830f458ac2768e20381d86712c",
+}
+
+
+def test_general_path_bits_are_pinned(boson_field):
+    g = UniformGrid(-6.0, 6.0, 41, dim=2)
+    (_, sym), = fd_solver.iterate(analytic.sample_field(boson_field, g, 0.0),
+                                  1e-3, 1)
+    re = sym.re.copy()
+    re[3, 17] = np.nextafter(re[3, 17], np.inf)     # one ulp off
+    *_, (t, fld) = fd_solver.iterate(ComplexField(grid=g, re=re, im=sym.im),
+                                     1e-3, 4)
+    v0, v1 = bohm.velocity_field(fld, t).components
+    i, j = np.indices((41, 37))
+    lap = fd_solver.laplacian(((31 * i + 17 * j) ** 2 % 101) / 13.0, g)
+    for name, a in (("re", fld.re), ("im", fld.im), ("v0", v0), ("v1", v1),
+                    ("lap", lap)):
+        got = hashlib.sha256(_bits(np.ascontiguousarray(a))).hexdigest()
+        assert got == GENERAL_PATH_SHA256[name], (
+            f"{name} changed (sha256 {got}). If only numpy or the BLAS "
+            "library changed, check the new bits against the old code on "
+            "the same numpy/BLAS and re-record the pinned sha256.")
 
 
 def test_symmetry_preserved_by_stepping(one_field):
