@@ -91,10 +91,6 @@ class ExactField:
         """(psi, tuple of d(psi)/d(coordinate)) from one packet evaluation."""
         raise NotImplementedError
 
-    def grad(self, *args):
-        """Tuple of d(psi)/d(coordinate), one entry per dimension."""
-        return self.psi_grad(*args)[1]
-
     def lap(self, *args):
         raise NotImplementedError
 
@@ -148,9 +144,9 @@ class ExactField:
         Derivatives of g are the real parts of the log-derivative of psi:
         grad g = Re(grad psi / psi), lap g = Re(lap psi / psi - (grad psi/psi)^2).
         """
-        p = self.psi(*args)
+        p, grads = self.psi_grad(*args)
         self._node_guard(p, args[-1], node_floor, "quantum potential")
-        dlogs = tuple(d / p for d in self.grad(*args))
+        dlogs = tuple(d / p for d in grads)
         grad_g_sq = sum(np.real(d) ** 2 for d in dlogs)
         lap_g = np.real(self.lap(*args) / p - sum(d ** 2 for d in dlogs))
         return -0.5 * (grad_g_sq + lap_g)

@@ -7,9 +7,11 @@ in free space (no external potential).
 
 Spatial derivatives use 4th-order stencils: the 5-point central formula in
 the interior and 6-point one-sided / skewed formulas at the two outermost
-points per side (no boundary condition is imposed; the grid is chosen wide
-enough that the field is negligible at the edges). Time stepping is
-classic RK4 on the coupled 2N-component system.
+points per side. No boundary condition is imposed, so the grid must be
+wide enough that the field stays small at the edges: on the bundled
+one-particle grid [-13, 13], |psi(+-13)| is 7.0e-11 at t = 0.5 but
+1.01e-3 at t = 1, 0.19 % of the peak |psi|. Time stepping is classic
+RK4 on the coupled 2N-component system.
 
 The system is linear and time-independent, so one RK4 step is exactly the
 degree-4 Taylor polynomial of the propagator, psi <- sum_{k<=4} (dt A)^k

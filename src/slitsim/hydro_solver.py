@@ -223,24 +223,22 @@ def propagate_hydro(config, points=None):
 
     snapshots = []
     diagnostics = []
-    if 0 in wanted:
-        snapshots.append(ensemble)
-        diagnostics.append(diagnose(ensemble, field, op))
-
-    for k in range(1, config.n_steps + 1):
+    for k in range(config.n_steps + 1):
+        if k:
+            if lagrange:
+                ensemble = lagrangian_step(ensemble, dt, op)
+                op = moving_operator(ensemble.y)
+            else:
+                ensemble = eulerian_step(ensemble, dt, op)
+            # the lattice time k*dt, as on the FD path: summing dt drifts
+            ensemble = replace(ensemble, t=k * dt)
         if op is None:
+            # no operator at these points: the run ends here, with this
+            # time recorded once, Degraded
             ensemble = replace(ensemble, status=DEGRADED)
             snapshots.append(ensemble)
-            diag = diagnose(ensemble, field, None)
-            diagnostics.append(replace(diag, status=DEGRADED))
+            diagnostics.append(diagnose(ensemble, field, None))
             break
-        if lagrange:
-            ensemble = lagrangian_step(ensemble, dt, op)
-            op = moving_operator(ensemble.y)
-        else:
-            ensemble = eulerian_step(ensemble, dt, op)
-        # the lattice time k*dt, as on the FD path: summing dt drifts
-        ensemble = replace(ensemble, t=k * dt)
         if k in wanted:
             snapshots.append(ensemble)
             diagnostics.append(diagnose(ensemble, field, op))

@@ -27,21 +27,20 @@ matrix G (m, m, nt), so that each update over all targets at once is one
 contiguous row. G is symmetric positive definite, and one Cholesky
 factor G = L L^T, computed column by column in numpy over all targets,
 serves both the solve (forward and back substitution of a / sigma in
-place, one row per update) and the condition check: cond2(G) <=
-tr(G) tr(G^-1) <= m^2 cond2(G), and tr(G^-1) is the squared Frobenius
-norm of the solution with each neighbor column multiplied back by its
-sigma. A point whose bound is at most half of CONDITION_LIMIT is
-certified below the limit (the factor 2 covers rounding in the bound);
-any other point gets the exact eigenvalue ratio, so the IllConditioned
-decisions are those of the exact ratio at every point. A pivot that is
-not positive fails the factor, and every point then gets the exact
-ratio. JetOperator.condition_estimates holds the bound, or the exact
-ratio where one was taken. A point whose normal matrix has a non-finite
-entry gets the estimate inf without being factored, so a non-finite
-point set is IllConditioned. _solve_normal(gram, rhs, sigma) is the
-seam between the geometry and this linear algebra. See Higham, Accuracy
-and Stability of Numerical Algorithms, ch. 10, for the Cholesky
-factorization and its stability.
+place, one row per update) and the condition estimate, the bound
+tr(G) tr(G^-1) with cond2(G) <= tr(G) tr(G^-1) <= m^2 cond2(G);
+tr(G^-1) is the squared Frobenius norm of the solution with each
+neighbor column multiplied back by its sigma. The estimate is inf at a
+point whose normal matrix has a non-finite entry or whose factor meets
+a pivot that is not positive; that point is factored as the identity,
+so the other points keep their bits. IllConditioned is raised when any
+estimate exceeds CONDITION_LIMIT. The bound is at least the exact ratio
+lambda_max / lambda_min, so every point whose exact ratio exceeds the
+limit is rejected; a point whose exact ratio lies in
+(CONDITION_LIMIT / m^2, CONDITION_LIMIT] may be rejected as well.
+_solve_normal(gram, rhs, sigma) is the seam between the geometry and
+this linear algebra. See Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 10, for the Cholesky factorization and its stability.
 """
 
 import numpy as np
@@ -100,30 +99,24 @@ def _nearest(pts, tgt, nb):
     return order[start[:, None] + np.arange(nb)]
 
 
-def _condition_ratio(gram):
-    """Exact 2-norm condition lambda_max / lambda_min of each symmetric
-    matrix in the stack gram (m, m, nt), inf where lambda_min <= 0."""
-    evals = np.linalg.eigvalsh(gram.transpose(2, 0, 1))
-    with np.errstate(divide="ignore"):
-        return np.where(evals[:, 0] > 0,
-                        evals[:, -1] / np.maximum(evals[:, 0], 1e-300),
-                        np.inf)
-
-
 def _cholesky(gram):
     """Lower Cholesky factor L of each matrix in gram (m, m, nt), targets
     last, computed column by column over all targets at once; only the
-    lower triangle of L is written. Raises LinAlgError if a pivot of any
-    target is not positive.
+    lower triangle of L is written. Returns (L, failed): failed (nt,)
+    marks the targets where a pivot is not positive. From its first such
+    pivot on, a failed target is factored as the identity.
     """
     low = np.empty_like(gram)
+    failed = np.zeros(gram.shape[-1], dtype=bool)
     for j in range(len(gram)):
         col = gram[j:, j] - np.einsum("ikn,kn->in", low[j:, :j], low[j, :j])
-        if not np.all(col[0] > 0):
-            raise np.linalg.LinAlgError("matrix is not positive definite")
+        failed |= ~(col[0] > 0)
+        if failed.any():
+            col[:, failed] = 0.0
+            col[0, failed] = 1.0
         low[j, j] = np.sqrt(col[0])
         low[j + 1:, j] = col[1:] / low[j, j]
-    return low
+    return low, failed
 
 
 def _substitute(low, x):
@@ -146,30 +139,21 @@ def _solve_normal(gram, rhs, sigma):
     targets last, with A_w^T the weighted basis (m, nb, nt); rhs is
     overwritten by the solve map. G^-1 = (solve_map sigma)(solve_map
     sigma)^T, so tr(G^-1) is the squared Frobenius norm of solve_map
-    sigma. The estimate is the bound tr(G) tr(G^-1) where it is at most
-    CONDITION_LIMIT / 2, otherwise the exact ratio; inf at points whose
-    gram has a non-finite entry, which never reach the factorization.
-    The solve map is None when any point has a non-finite gram or a
-    pivot that is not positive; every estimate is then the exact ratio
-    (inf where non-finite).
+    sigma. The estimate is the bound tr(G) tr(G^-1), or inf at targets
+    whose gram has a non-finite entry or whose factor fails. At a
+    target whose gram has a non-finite entry, gram, rhs and sigma are
+    overwritten with the identity, zeros and ones, so no NaN or inf
+    enters the arithmetic.
     """
-    cond = np.full(gram.shape[-1], np.inf)
-    finite = np.isfinite(gram).all(axis=(0, 1))
-    solve_map = None
-    exact = finite
-    if finite.all():
-        try:
-            low = _cholesky(gram)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            solve_map = _substitute(low, rhs)
-            inv_trace = np.einsum("pkn,pkn,kn->n", solve_map, solve_map,
-                                  sigma ** 2)
-            cond = np.trace(gram) * inv_trace
-            exact = ~(cond <= CONDITION_LIMIT / 2)
-    if exact.any():
-        cond[exact] = _condition_ratio(gram[:, :, exact])
+    bad = ~np.isfinite(gram).all(axis=(0, 1))
+    gram[:, :, bad] = np.eye(len(gram))[:, :, None]
+    rhs[:, :, bad] = 0.0
+    sigma[:, bad] = 1.0
+    low, failed = _cholesky(gram)
+    solve_map = _substitute(low, rhs)
+    inv_trace = np.einsum("pkn,pkn,kn->n", solve_map, solve_map, sigma ** 2)
+    cond = np.trace(gram) * inv_trace
+    cond[bad | failed] = np.inf
     return solve_map, cond
 
 
@@ -186,8 +170,9 @@ class JetOperator:
 
     condition_estimates holds, per target, an upper bound on the 2-norm
     condition of the scaled normal matrix G, tr(G) tr(G^-1), which is at
-    most m^2 times the exact ratio lambda_max / lambda_min; where the
-    bound exceeds CONDITION_LIMIT / 2 it holds the exact ratio instead.
+    most m^2 times the exact ratio lambda_max / lambda_min; it is inf
+    where G has a non-finite entry or no Cholesky factor. IllConditioned
+    is raised when any estimate exceeds CONDITION_LIMIT.
     """
 
     def __init__(self, points, config, targets=None):
@@ -222,7 +207,7 @@ class JetOperator:
         solve_map, cond = _solve_normal(
             gram, np.divide(a_mat, sigma, out=a_mat), sigma)
         self.condition_estimates = cond
-        if solve_map is None or np.any(cond > CONDITION_LIMIT):
+        if np.any(cond > CONDITION_LIMIT):
             raise IllConditioned(
                 f"normal-equation condition estimate {cond.max():.3e} exceeds "
                 f"{CONDITION_LIMIT:.1e} at "

@@ -95,9 +95,12 @@ def test_criterion_3_trajectory_fan(fig6_run):
     detail = (f"max deviation = {dev:.3e} (<= 1e-2), "
               f"crossing violations = {crossings} (= 0)")
     ok = dev <= 1e-2 and crossings == 0
-    # Known honest failure at this resolution: the misses are confined
-    # to the outermost starts (|y0| >= 1.4) that ride the badly-resolved
-    # outer fringes; at 521 points the same fan passes with 7e-3.
+    # Known honest failure at this resolution, and the bound is the
+    # first-derivative stencil of velocity_field: the exact field sampled
+    # on the same 261 points and run through velocity_field,
+    # interpolation and RK4 misses by 1.830e-1 (worst at |y0| >= 1.4),
+    # while the exact velocity on those points misses by only 5.147e-3.
+    # At 521 points the same fan passes with 7e-3.
     _verdict(3, ok, detail)
 
 

@@ -105,9 +105,8 @@ def test_crossing_flips_status_degraded():
     assert out.status == hydro_solver.DEGRADED
 
 
-def test_non_finite_step_ends_degraded(monkeypatch):
-    # a step that leaves a NaN position: the next operator build is
-    # IllConditioned, and the run ends in a Degraded snapshot
+def _nan_step(monkeypatch):
+    """Make every Lagrangian step leave a NaN position."""
     step = hydro_solver.lagrangian_step
 
     def nan_step(ensemble, dt, op):
@@ -118,6 +117,12 @@ def test_non_finite_step_ends_degraded(monkeypatch):
                                           status=hydro_solver.DEGRADED)
 
     monkeypatch.setattr(hydro_solver, "lagrangian_step", nan_step)
+
+
+def test_non_finite_step_ends_degraded(monkeypatch):
+    # a step that leaves a NaN position: the next operator build is
+    # IllConditioned, and the run ends in a Degraded snapshot
+    _nan_step(monkeypatch)
     cfg = _scenario(grid=UniformGrid(-4.0, 4.0, 101), n_steps=20,
                     t_final=2e-4)
     snaps, diags = hydro_solver.propagate_hydro(cfg)
@@ -126,6 +131,20 @@ def test_non_finite_step_ends_degraded(monkeypatch):
     assert diags[-1].status == hydro_solver.DEGRADED
     assert np.isnan(diags[-1].q_num).all()
     assert diags[-1].mwls_max_condition is None
+
+
+def test_failed_build_records_its_time_once(monkeypatch):
+    # the operator build fails at a snapshot time, after step 1 and at
+    # t = 0: that time is recorded once, Degraded, and the run ends
+    cfg = _scenario(grid=UniformGrid(-4.0, 4.0, 101), n_steps=20,
+                    t_final=2e-4, snapshot_times=(0.0, 1e-5, 2e-4))
+    for points, want in ((None, [0.0, 1e-5]), (np.full(12, 0.5), [0.0])):
+        with monkeypatch.context() as patch:
+            _nan_step(patch)
+            snaps, diags = hydro_solver.propagate_hydro(cfg, points=points)
+        assert [d.t for d in diags] == [s.t for s in snaps] == want
+        assert snaps[-1].status == diags[-1].status == hydro_solver.DEGRADED
+        assert diags[-1].mwls_max_condition is None
 
 
 def test_lagrangian_build_runs_while_the_previous_operator_is_alive(
