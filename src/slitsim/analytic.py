@@ -5,8 +5,31 @@ against which the numerical solvers are judged. Only the transverse
 (y) dependence is evolved; the longitudinal plane-wave factor
 exp(i[kx*x - kx^2 t/2]) decouples and gives the trivial drift
 x(t) = x(0) + kx*t.
+
+The slit packets, centred at c = +Y (slit A) and -Y (slit B), share one
+complex width, so every field has a closed-form logarithmic derivative
+D = d(ln psi)/dy (Philippidis, Dewdney & Hiley, Nuovo Cimento B 52, 15
+(1979)). With alpha = 1/(4 sigma0 sigma_t), k = 2 alpha Y and
+sign(x) = copysign(1, x):
+
+- single packet: D = -2 alpha (y - c), and |psi|^2 / peak_density(t)
+  = exp(-2 Re(alpha) (y - c)^2);
+- one particle, psi ~ exp(-alpha (y^2 + Y^2)) cosh(u) with u = k y:
+  D = -2 alpha (y - Y tanh u), and the density ratio is
+  exp(-2 Re(alpha) (|y| - Y)^2) / |1 + sign(y) tanh u|^2;
+- two particles, psi ~ exp(-alpha (y1^2 + y2^2 + 2 Y^2)) (e^u +- e^-u)
+  with u = k (y1 - y2) and T = tanh u (bosons) or coth u (fermions):
+  D1 = -2 alpha y1 + k T and D2 = -2 alpha y2 - k T, and the density
+  ratio is exp(-2 Re(alpha) [(y1 - sY)^2 + (y2 + sY)^2]) / |1 + sT|^2
+  with s = sign(y1 - y2).
+
+Since Re(s u) >= 0, |1 + sT| >= 1: the denominators only grow towards
+a node. d(D_i)/d(y_i) = -2 alpha + k^2 (1 - T^2) for both two-packet
+fields (-2 alpha for the single packet). The Bohmian velocity is Im D,
+and the quantum potential -(1/2) sum_i [(Re D_i)^2 + Re d(D_i)/d(y_i)].
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +72,32 @@ def _packets(y, t, *packets, grad=False):
     return p, slope * p
 
 
+def _alpha(params, t):
+    """alpha = 1/(4 sigma0 sigma_t) = 1/(4 sigma0^2 + 2i t), so that
+    psi_c ~ exp(-alpha (y - c)^2)."""
+    return 1.0 / (4.0 * params.sigma0 ** 2 + 2j * t)
+
+
+def _off_node(log_ratio, node_floor):
+    """Where ln(|psi|^2 / peak_density) is above ln(node_floor); False
+    where it is NaN. The log form matters at a floor of 0: the ratio
+    itself underflows in the tails before |psi|^2 does, so only true zeros
+    (the fermion diagonal) count as nodes there."""
+    floor = math.log(node_floor) if node_floor > 0 else -math.inf
+    return log_ratio > floor
+
+
+def _node_guard(log_ratio, t, node_floor, what):
+    """Raise NodeError unless every point is off the nodes (_off_node).
+
+    node_floor is relative to the instantaneous peak density; a floor of 0
+    only rejects true zeros, which is the right guard for closed-form
+    ratios whose tails are exact however small the density gets.
+    """
+    if not _off_node(log_ratio, node_floor).all():
+        raise NodeError(f"{what} undefined at a node (t={t})")
+
+
 def _overlap(params):
     """t=0 overlap integral of the two slit packets: exp(-Y^2/(2 sigma0^2))."""
     return np.exp(-params.Y ** 2 / (2.0 * params.sigma0 ** 2))
@@ -78,8 +127,9 @@ class ExactField:
     """Common closed-form machinery: velocity, quantum potential, trajectories.
 
     Subclasses provide psi / psi_grad / lap as functions of the
-    configuration point and time, plus a peak-density bound used for the
-    node threshold.
+    configuration point and time, the closed-form log-derivative
+    (_log_derivative), plus a peak-density bound used for the node
+    threshold.
     """
 
     dim = None
@@ -97,31 +147,27 @@ class ExactField:
     def peak_density(self, t):
         raise NotImplementedError
 
+    def _log_derivative(self, *args, curvature=False):
+        """(D, log_ratio), or (D, dD, log_ratio) with curvature=True.
+
+        D is the tuple of d(ln psi)/d(coordinate), dD the tuple of
+        d(D_i)/d(coordinate i), and log_ratio = ln(|psi|^2 /
+        peak_density(t)), all in closed form (module docstring).
+        """
+        raise NotImplementedError
+
     # -- derived quantities ------------------------------------------------
 
-    def _node_guard(self, p, t, node_floor, what):
-        """Density |p|^2, checked as the node-sensitive quantities need.
-
-        node_floor is relative to the instantaneous peak density; a floor
-        of 0 only rejects true zeros (fermion diagonal, underflowed
-        tails), which is the right guard for closed-form ratios whose
-        tails are exact however small the density gets.
-        """
-        dens = np.abs(p) ** 2
-        if np.any(dens <= node_floor * self.peak_density(t)):
-            raise NodeError(f"{what} undefined at a node (t={t})")
-        return dens
-
     def velocity(self, *args, node_floor=EPS_NODE):
-        """Bohmian velocity Im(psi* grad psi)/|psi|^2, per coordinate.
+        """Bohmian velocity Im(d ln psi / d coordinate), per coordinate.
 
         Equivalent to the phase gradient wherever psi != 0, but free of
         arctan branch-cut artifacts. Raises NodeError where the density
         falls below node_floor times the instantaneous peak.
         """
-        p, grads = self.psi_grad(*args)
-        dens = self._node_guard(p, args[-1], node_floor, "velocity")
-        comps = tuple(np.imag(np.conj(p) * d) / dens for d in grads)
+        d, log_ratio = self._log_derivative(*args)
+        _node_guard(log_ratio, args[-1], node_floor, "velocity")
+        comps = tuple(x.imag for x in d)
         return comps[0] if self.dim == 1 else comps
 
     def velocity_at(self, points, t):
@@ -133,23 +179,27 @@ class ExactField:
         return v[:, None] if self.dim == 1 else np.stack(v, axis=-1)
 
     def log_amplitude(self, *args, node_floor=0.0):
-        """g = ln|psi| (so the probability density is e^{2g})."""
+        """g = ln|psi| (so the probability density is e^{2g}).
+
+        Raises NodeError where |psi|^2 <= node_floor * peak_density(t);
+        at a floor of 0, where |psi|^2 underflows.
+        """
         p = self.psi(*args)
-        self._node_guard(p, args[-1], node_floor, "log-amplitude")
+        t = args[-1]
+        if np.any(np.abs(p) ** 2 <= node_floor * self.peak_density(t)):
+            raise NodeError(f"log-amplitude undefined at a node (t={t})")
         return np.log(np.abs(p))
 
     def quantum_potential(self, *args, node_floor=0.0):
         """Q = -(1/2)[(grad g)^2 + lap g] with g = ln sqrt(P).
 
-        Derivatives of g are the real parts of the log-derivative of psi:
-        grad g = Re(grad psi / psi), lap g = Re(lap psi / psi - (grad psi/psi)^2).
+        Derivatives of g are the real parts of the log-derivative D of psi:
+        grad g = Re D, lap g = Re sum_i d(D_i)/d(coordinate i).
         """
-        p, grads = self.psi_grad(*args)
-        self._node_guard(p, args[-1], node_floor, "quantum potential")
-        dlogs = tuple(d / p for d in grads)
-        grad_g_sq = sum(np.real(d) ** 2 for d in dlogs)
-        lap_g = np.real(self.lap(*args) / p - sum(d ** 2 for d in dlogs))
-        return -0.5 * (grad_g_sq + lap_g)
+        d, dd, log_ratio = self._log_derivative(*args, curvature=True)
+        _node_guard(log_ratio, args[-1], node_floor, "quantum potential")
+        return -0.5 * sum(np.real(x) ** 2 + np.real(c)
+                          for x, c in zip(d, dd))
 
 
 class SlitPacketField(ExactField):
@@ -178,6 +228,15 @@ class SlitPacketField(ExactField):
     def peak_density(self, t):
         st2 = np.abs(sigma_t(self.params, t)) ** 2
         return (2.0 * np.pi * st2) ** -0.5
+
+    def _log_derivative(self, y, t, curvature=False):
+        a = _alpha(self.params, t)
+        dy = np.asarray(y, dtype=float) - self.center
+        d = (-2.0 * a * dy,)
+        log_ratio = -2.0 * a.real * dy ** 2
+        if curvature:
+            return d, (-2.0 * a,), log_ratio
+        return d, log_ratio
 
     def similarity_position(self, y0, t):
         """Exact Bohmian path: the packet's self-similar spreading flow."""
@@ -212,6 +271,23 @@ class OneParticleField(ExactField):
     def peak_density(self, t):
         # |N(psi_A + psi_B)|^2 <= 4 N^2 max|psi_A|^2
         return 4.0 * self.norm_constant ** 2 * self._a.peak_density(t)
+
+    def _log_derivative(self, y, t, curvature=False):
+        y = np.asarray(y, dtype=float)
+        a, big_y = _alpha(self.params, t), self.params.Y
+        k = 2.0 * a * big_y
+        big_t = np.tanh(k * y)
+        # named operands, as in _packets
+        diff = y - big_y * big_t
+        d = (-2.0 * a * diff,)
+        # |1 + sign*T| = |sign + T|, with sign(+-0) = +-1: np.sign(0) = 0
+        # would drop the 1
+        log_ratio = (-2.0 * a.real * (np.abs(y) - big_y) ** 2
+                     - 2.0 * np.log(np.abs(big_t + np.copysign(1.0, y))))
+        if curvature:
+            dt_du = 1.0 - big_t * big_t
+            return d, (k * k * dt_du - 2.0 * a,), log_ratio
+        return d, log_ratio
 
 
 class TwoParticleField(ExactField):
@@ -254,6 +330,28 @@ class TwoParticleField(ExactField):
 
     def peak_density(self, t):
         return 4.0 * self.norm_constant ** 2 * self._a.peak_density(t) ** 2
+
+    def _log_derivative(self, y1, y2, t, curvature=False):
+        y1, y2 = np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)
+        a, big_y = _alpha(self.params, t), self.params.Y
+        k = 2.0 * a * big_y
+        dy = y1 - y2
+        # coth is infinite on the fermion diagonal, where the log ratio is
+        # -inf and the node guard fires
+        with np.errstate(divide="ignore", invalid="ignore"):
+            big_t = np.tanh(k * dy)
+            if self.params.exchange_sign < 0:
+                big_t = 1.0 / big_t
+            kt = k * big_t
+            d = (-2.0 * a * y1 + kt, -2.0 * a * y2 - kt)
+            sy = np.copysign(big_y, dy)     # as in OneParticleField
+            log_ratio = (-2.0 * a.real * ((y1 - sy) ** 2 + (y2 + sy) ** 2)
+                         - 2.0 * np.log(np.abs(big_t + np.copysign(1.0, dy))))
+            if curvature:
+                dt_du = 1.0 - big_t * big_t     # named, as in _packets
+                dd = k * k * dt_du - 2.0 * a
+                return d, (dd, dd), log_ratio
+        return d, log_ratio
 
 
 def field_for(params, field_kind=""):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slitsim import analytic
-from slitsim.core import UniformGrid, WavePacketParams
+from slitsim.core import EPS_NODE, UniformGrid, WavePacketParams
 from slitsim.errors import NodeError
 
 
@@ -104,6 +104,12 @@ def test_fermion_diagonal_node(fermion_field):
         assert fermion_field.psi(y, y, 0.6) == 0.0
     with pytest.raises(NodeError):
         fermion_field.velocity(0.4, 0.4, 0.6)
+    # coth is infinite there: no RuntimeWarning, and a node at a floor of 0
+    for y in (np.array([0.4, 1.0]), 0.0):
+        with pytest.raises(NodeError):
+            fermion_field.velocity(y, y, 0.6, node_floor=0.0)
+        with pytest.raises(NodeError):
+            fermion_field.quantum_potential(y, y, 0.6)
 
 
 def test_velocity_matches_phase_gradient(one_field, boson_field):
@@ -324,3 +330,66 @@ def test_large_stack_equals_short_chunks(which, one_field, boson_field):
     assert np.array_equal(p, np.concatenate([q for q, _ in parts]))
     for d, g in enumerate(grad):
         assert np.array_equal(g, np.concatenate([q[d] for _, q in parts]))
+    # the closed-form log-derivatives behind velocity and Q as well
+    d, dd, log_ratio = fld._log_derivative(*pts, t, curvature=True)
+    parts = [fld._log_derivative(*c, t, curvature=True) for c in chunks]
+    assert np.array_equal(log_ratio, np.concatenate([q for *_, q in parts]))
+    for i in range(fld.dim):
+        assert np.array_equal(d[i], np.concatenate([q[0][i] for q in parts]))
+        assert np.array_equal(dd[i],
+                              np.concatenate([q[1][i] for q in parts]))
+
+
+# -- closed-form log-derivatives against the packet sums ------------------
+
+def _packet_sum_reference(fld, pts, t):
+    """(|psi|^2, the mask |psi|^2 > 0, v per coordinate and Q on that
+    mask) from the packet sums psi_grad and lap: the velocity as
+    Im(psi* grad psi)/|psi|^2, Q from grad psi/psi and lap psi/psi."""
+    p, grads = fld.psi_grad(*pts, t)
+    dens = np.abs(p) ** 2
+    ok = dens > 0.0
+    p = p[ok]
+    dlogs = [d[ok] / p for d in grads]
+    v = [np.imag(np.conj(p) * d[ok]) / dens[ok] for d in grads]
+    q = -0.5 * (sum(np.real(d) ** 2 for d in dlogs)
+                + np.real(fld.lap(*(c[ok] for c in pts), t) / p
+                          - sum(d ** 2 for d in dlogs)))
+    return dens, ok, v, q
+
+
+_SWEEP_1D = (np.linspace(-13.0, 13.0, 26001),)
+_SWEEP_2D = tuple(np.meshgrid(np.linspace(-6.0, 6.0, 241),
+                              np.linspace(-6.0, 6.0, 241), indexing="ij"))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.003, 0.01, 0.3, 1.0])
+@pytest.mark.parametrize("which", ["packet", "one", "boson", "fermion"])
+def test_closed_forms_keep_the_packet_sum_guard(which, t, packet_field,
+                                                one_field, boson_field,
+                                                fermion_field):
+    # the 2D sweep holds the exact diagonal y1 == y2 (241 is odd)
+    fld = {"packet": packet_field, "one": one_field, "boson": boson_field,
+           "fermion": fermion_field}[which]
+    pts = _SWEEP_1D if fld.dim == 1 else _SWEEP_2D
+    d, dd, log_ratio = fld._log_derivative(*pts, t, curvature=True)
+    dens, ok, v_ref, q_ref = _packet_sum_reference(fld, pts, t)
+    old = dens <= EPS_NODE * fld.peak_density(t)
+    assert np.array_equal(~analytic._off_node(log_ratio, EPS_NODE), old)
+    # at a floor of 0 the closed form never rejects a point the packet sum
+    # keeps, except on the fermion diagonal: a true node, where the packet
+    # sum leaves a rounding residue of up to 2e-17 for t > 0
+    extra = ~analytic._off_node(log_ratio, 0.0) & (dens > 0.0)
+    if which == "fermion":
+        extra &= pts[0] != pts[1]
+    assert not extra.any()
+    # velocity and Q where the guard keeps the point; the largest
+    # differences measured are 1.6e-14 (1D) and 1.4e-13 (2D) for v, and
+    # 8e-14 (1D) and 2.3e-13 (2D) of max(1, |Q|) for Q
+    keep = ~old
+    tol = 5e-14 if fld.dim == 1 else 5e-13
+    for x, ref in zip(d, v_ref):
+        assert np.abs(np.imag(x)[keep] - ref[keep[ok]]).max() <= tol
+    q = -0.5 * sum(np.real(x) ** 2 + np.real(c) for x, c in zip(d, dd))
+    dq = np.abs(q[keep] - q_ref[keep[ok]])
+    assert (dq / np.maximum(1.0, np.abs(q_ref[keep[ok]]))).max() <= 1e-12

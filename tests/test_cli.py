@@ -752,8 +752,8 @@ CUTS_2D_AND_HYDRO = {
         [("t_final = 0.01", "t_final = 0.0001"),
          ("n_steps = 1000", "n_steps = 10"),
          ("snapshots = 0, 0.005, 0.01", "snapshots = 0, 0.0001")],
-        {"diagnostics.csv": "0a2b6cffab7b005aa3e2f16ff1454461"
-                            "0b99028207e9104eaab06954e11e3ef5",
+        {"diagnostics.csv": "6c9eb7b6180258be893bbadec47e4bcb"
+                            "063c99639149b26445e8f4f1624fe3bd",
          "trajectories.csv": "7ae2fddd9cf2979bc20a9ea8bfd96ba9"
                              "12f10fd5658891994480dacc2421db38"}),
 }

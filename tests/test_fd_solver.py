@@ -341,7 +341,10 @@ def test_a_field_off_parity_takes_the_two_axis_path(monkeypatch, one_field,
     (_, sym), = fd_solver.iterate(analytic.sample_field(boson_field, g, 0.0),
                                   1e-3, 1)
     re = sym.re.copy()
-    re[3, 17] = np.nextafter(re[3, 17], np.inf)     # one ulp off
+    # one ulp off at the peak, so that the asymmetry outlives the steps
+    # below: an ulp in the 7e-33 tail would be rounded away by the first
+    peak = np.unravel_index(np.argmax(np.abs(re)), re.shape)
+    re[peak] = np.nextafter(re[peak], np.inf)
     off = ComplexField(grid=g, re=re, im=sym.im)
     assert fd_solver.exchange_parity(sym) == 1
     assert fd_solver.exchange_parity(off) == 0
@@ -356,8 +359,8 @@ def test_a_field_off_parity_takes_the_two_axis_path(monkeypatch, one_field,
     monkeypatch.setattr(fd_solver, "_apply", spy)
     for fld, want in ((sym, 1), (off, 0)):
         parities.clear()
-        for _ in fd_solver.iterate(fld, 1e-3, 2):
-            pass
+        for _, stepped in fd_solver.iterate(fld, 1e-3, 2):
+            assert fd_solver.exchange_parity(stepped) == want
         assert parities == [want] * 16
 
 
