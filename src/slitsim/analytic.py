@@ -114,6 +114,11 @@ def norm_constant_two(params):
     return 1.0 / np.sqrt(2.0 + 2.0 * params.exchange_sign * w ** 2)
 
 
+def _quantum_potential(d, dd):
+    """Q = -(1/2) sum_i [(Re D_i)^2 + Re d(D_i)/d(coordinate i)]."""
+    return -0.5 * sum(np.real(x) ** 2 + np.real(c) for x, c in zip(d, dd))
+
+
 def _stack(points, dim):
     """Configuration points as a float array of shape (m, dim)."""
     pts = np.asarray(points, dtype=float)
@@ -181,14 +186,20 @@ class ExactField:
     def log_amplitude(self, *args, node_floor=0.0):
         """g = ln|psi| (so the probability density is e^{2g}).
 
-        Raises NodeError where |psi|^2 <= node_floor * peak_density(t);
-        at a floor of 0, where |psi|^2 underflows.
+        Raises NodeError where |psi|^2 <= node_floor * peak_density(t),
+        decided on the closed-form density ratio, so that at a floor of 0
+        only true zeros are nodes. Where psi underflows to 0, g is the
+        closed form (ln(|psi|^2 / peak_density) + ln peak_density) / 2.
         """
-        p = self.psi(*args)
+        log_ratio = self._log_derivative(*args)[-1]
         t = args[-1]
-        if np.any(np.abs(p) ** 2 <= node_floor * self.peak_density(t)):
-            raise NodeError(f"log-amplitude undefined at a node (t={t})")
-        return np.log(np.abs(p))
+        _node_guard(log_ratio, t, node_floor, "log-amplitude")
+        a = np.abs(self.psi(*args))
+        with np.errstate(divide="ignore"):
+            g = np.log(a)
+        # [()]: a scalar for scalar coordinates, as np.log gives
+        return np.where(a > 0, g, 0.5 * (log_ratio + np.log(
+            self.peak_density(t))))[()]
 
     def quantum_potential(self, *args, node_floor=0.0):
         """Q = -(1/2)[(grad g)^2 + lap g] with g = ln sqrt(P).
@@ -198,8 +209,17 @@ class ExactField:
         """
         d, dd, log_ratio = self._log_derivative(*args, curvature=True)
         _node_guard(log_ratio, args[-1], node_floor, "quantum potential")
-        return -0.5 * sum(np.real(x) ** 2 + np.real(c)
-                          for x, c in zip(d, dd))
+        return _quantum_potential(d, dd)
+
+    def velocity_and_potential(self, *args):
+        """velocity and quantum_potential from one closed-form pass, NaN
+        at the nodes: where the closed-form density is zero, not where
+        |psi|^2 underflows."""
+        d, dd, log_ratio = self._log_derivative(*args, curvature=True)
+        ok = _off_node(log_ratio, 0.0)
+        v = tuple(np.where(ok, x.imag, np.nan) for x in d)
+        return ((v[0] if self.dim == 1 else v),
+                np.where(ok, _quantum_potential(d, dd), np.nan))
 
 
 class SlitPacketField(ExactField):

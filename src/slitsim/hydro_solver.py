@@ -140,17 +140,6 @@ def eulerian_step(ensemble, dt, op):
                          t=ensemble.t + dt, status=status)
 
 
-def _exact_profiles(field, y, t):
-    """Exact velocity and quantum potential, NaN where |psi|^2 is zero."""
-    ok = np.abs(field.psi(y, t)) ** 2 > 0.0
-    v = np.full_like(y, np.nan, dtype=float)
-    q = np.full_like(y, np.nan, dtype=float)
-    if np.any(ok):
-        v[ok] = field.velocity(y[ok], t, node_floor=0.0)
-        q[ok] = field.quantum_potential(y[ok], t)
-    return v, q
-
-
 def diagnose(ensemble, field, op):
     """Snapshot diagnostics comparing the ensemble to the exact field.
 
@@ -163,7 +152,8 @@ def diagnose(ensemble, field, op):
     else:
         q_num, _ = quantum_potential(op, ensemble.g)
         max_cond = float(op.condition_estimates.max())
-    v_exact, q_exact = _exact_profiles(field, ensemble.y, ensemble.t)
+    v_exact, q_exact = field.velocity_and_potential(ensemble.y,
+                                                     ensemble.t)
     dv = np.abs(ensemble.v - v_exact)
     dq = np.abs(q_num - q_exact)
     max_v = float(np.nanmax(dv)) if np.any(np.isfinite(dv)) else np.inf

@@ -168,6 +168,56 @@ def test_node_guard_in_tails(one_field):
         one_field.velocity(5.0, 0.0)
 
 
+def test_log_amplitude_where_the_density_underflows(one_field,
+                                                    fermion_field):
+    # at y = 9 |psi|^2 underflows but psi = 1.9e-174 does not; at y = 12
+    # psi is 0 too and g comes from the closed-form density ratio
+    y = np.array([9.0, 12.0, 0.5])
+    g = one_field.log_amplitude(y, 0.0)
+    assert g[0] == np.log(np.abs(one_field.psi(9.0, 0.0)))
+    assert g[:2] == pytest.approx([-400.00132576, -756.25132576], abs=1e-8)
+    assert g[2] == np.log(np.abs(one_field.psi(0.5, 0.0)))
+    with pytest.raises(NodeError):
+        one_field.log_amplitude(9.0, 0.0, node_floor=EPS_NODE)
+    # the fermion diagonal is a true zero
+    with pytest.raises(NodeError):
+        fermion_field.log_amplitude(0.4, 0.4, 0.6)
+
+
+def test_velocity_and_potential_where_the_density_underflows(one_field):
+    # |psi|^2 underflows at y = 9 and 12, where the closed forms give
+    # v = 0 and finite Q; only a point that is no number gives NaN
+    v, q = one_field.velocity_and_potential(np.array([9.0, 12.0, np.nan]),
+                                            0.0)
+    assert v[:2].tolist() == [0.0, 0.0]
+    assert q[:2] == pytest.approx([-4993.75, -9446.875], rel=1e-14)
+    assert np.isnan(v[2]) and np.isnan(q[2])
+
+
+@pytest.mark.parametrize("kind", ["packet", "one", "boson", "fermion"])
+def test_velocity_and_potential_match_the_guarded_calls(
+        kind, packet_field, one_field, boson_field, fermion_field):
+    fld = {"packet": packet_field, "one": one_field, "boson": boson_field,
+           "fermion": fermion_field}[kind]
+    y = np.linspace(-6.0, 6.0, 13)
+    coords = (y,) if fld.dim == 1 else np.meshgrid(y, y, indexing="ij")
+    t = 0.7
+    v, q = fld.velocity_and_potential(*coords, t)
+    v = (v,) if fld.dim == 1 else v
+    off = ~np.isnan(q)
+    if kind == "fermion":
+        # the diagonal y1 = y2 is the only node
+        assert np.array_equal(~off, np.eye(len(y), dtype=bool))
+        assert all(np.isnan(c[~off]).all() for c in v)
+    else:
+        assert off.all()
+    pts = tuple(c[off] for c in coords)
+    want = fld.velocity(*pts, t, node_floor=0.0)
+    want = (want,) if fld.dim == 1 else want
+    assert all(np.array_equal(c[off], w) for c, w in zip(v, want))
+    assert np.array_equal(q[off], fld.quantum_potential(*pts, t))
+
+
 def test_field_dispatch():
     one = WavePacketParams()
     two = WavePacketParams(particles=2)

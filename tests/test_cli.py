@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import platform
+import sys
 import tracemalloc
 
 import numpy as np
@@ -223,6 +224,79 @@ def test_snapshot_rows_match_row_by_row_formatting(dim):
     rng = np.random.default_rng(dim)
     fld = ComplexField(grid, rng.normal(size=grid.shape),
                        rng.normal(size=grid.shape))
+    y = grid.axis()
+    rows = [tuple(repr(float(c)) for c in
+                  (0.25, *y[list(i)], fld.re[i], fld.im[i]))
+            for i in np.ndindex(grid.shape)]
+    axis = list(cli._fmt_column(y))
+    assert list(cli._snapshot_rows(0.25, fld, axis)) == rows
+
+
+def _symmetric(n, seed):
+    a = np.random.default_rng(seed).normal(size=(n, n))
+    return a + a.T
+
+
+def _diagonal_specials(n):
+    a = _symmetric(n, n)
+    a[np.diag_indices(4)] = (np.nan, np.inf, -np.inf, 5e-324)
+    a[4, 4] = -0.0
+    a[0, 1] = a[1, 0] = -np.inf
+    return a
+
+
+@pytest.mark.parametrize("n", [MIN_POINTS, 24])
+def test_a_bitwise_symmetric_grid_formats_each_value_once(n):
+    a = _diagonal_specials(n)
+    got = list(cli._fmt_column(a))
+    assert got == list(map(repr, a.ravel().tolist()))
+    # the text of a[j, i] is the object made for a[i, j]
+    assert all(got[i * n + j] is got[j * n + i]
+               for i in range(n) for j in range(i))
+
+
+def test_a_mirrored_grid_holds_at_most_a_quarter_of_its_text():
+    # a reused text is dropped once its row is written: the traced peak
+    # is the n x n table of references, n^2/4 strings and a few row
+    # lists (formatting every value keeps all n^2 floats instead)
+    n = 131
+    a = _symmetric(n, 5)
+    size = max(map(sys.getsizeof, map(repr, a.ravel().tolist())))
+    tracemalloc.start()
+    try:
+        for _ in cli._fmt_column(a):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.size * 8 + (n * n // 4 + 4 * n) * size
+
+
+@pytest.mark.parametrize("a", [
+    # symmetric under == only: 0.0 and -0.0 at mirrored places
+    np.where(np.tri(MIN_POINTS, k=-1, dtype=bool), -0.0, 0.0),
+    # off parity by one ulp, and antisymmetric (a fermion snapshot)
+    np.where(np.eye(MIN_POINTS, k=3, dtype=bool),
+             np.nextafter(_symmetric(MIN_POINTS, 1), np.inf),
+             _symmetric(MIN_POINTS, 1)),
+    np.triu(_symmetric(MIN_POINTS, 2), 1) - np.triu(
+        _symmetric(MIN_POINTS, 2), 1).T,
+    # a non-square view
+    _symmetric(MIN_POINTS, 3)[:, :5],
+], ids=["signed-zeros", "one-ulp", "antisymmetric", "non-square"])
+def test_other_arrays_format_every_value(a):
+    got = list(cli._fmt_column(a))
+    assert got == list(map(repr, a.ravel().tolist()))
+    assert len({id(s) for s in got}) == a.size
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_snapshot_rows_of_a_symmetric_field(dim):
+    grid = UniformGrid(-1.0, 1.0, MIN_POINTS, dim=dim)
+    re, im = _diagonal_specials(MIN_POINTS), _symmetric(MIN_POINTS, 4)
+    if dim == 1:
+        re, im = np.diag(re).copy(), im[0]
+    fld = ComplexField(grid, re, im)
     y = grid.axis()
     rows = [tuple(repr(float(c)) for c in
                   (0.25, *y[list(i)], fld.re[i], fld.im[i]))
@@ -693,6 +767,24 @@ def test_flagged_deviation_matches_per_time_loop(one_field):
         assert got == _flagged_deviation_loop(traj, ex, one_field)
         n_flagged += got["n_flagged_times"]
     assert n_flagged > 0      # the check saw node regions
+
+
+def test_flagged_deviation_of_a_cut_path_against_the_full_lattice(
+        one_field):
+    # a path cut short (an incursion or leaving the grid) is compared
+    # with an exact path on the whole lattice over their common times
+    from slitsim import analytic
+    lattice = np.arange(101) * 1e-2
+    full, = analytic.exact_trajectory(one_field, [(0.4,)], lattice)
+    got = []
+    for n in (60, 1):
+        cut = analytic.Trajectory(times=lattice[:n],
+                                  positions=full.positions[:n] + 1e-3)
+        ex, = analytic.exact_trajectory(one_field, [(0.4,)], cut.times)
+        got.append(cli._flagged_deviation(cut, full, one_field))
+        assert got[-1] == cli._flagged_deviation(cut, ex, one_field)
+    assert got[0]["max_deviation"] == pytest.approx(1e-3)
+    assert got[1]["max_deviation"] is None    # a path that never ran
 
 
 def _pinned_cut(tmp_path, scenario, edits, want):
