@@ -27,6 +27,10 @@ Since Re(s u) >= 0, |1 + sT| >= 1: the denominators only grow towards
 a node. d(D_i)/d(y_i) = -2 alpha + k^2 (1 - T^2) for both two-packet
 fields (-2 alpha for the single packet). The Bohmian velocity is Im D,
 and the quantum potential -(1/2) sum_i [(Re D_i)^2 + Re d(D_i)/d(y_i)].
+
+Each field takes two steps: D with the inputs of the density ratio (the
+coordinates, T, Re alpha), then the ratio from those inputs; so
+exact_trajectory decides its node guard once per RK4 step.
 """
 
 import math
@@ -132,9 +136,9 @@ class ExactField:
     """Common closed-form machinery: velocity, quantum potential, trajectories.
 
     Subclasses provide psi / psi_grad / lap as functions of the
-    configuration point and time, the closed-form log-derivative
-    (_log_derivative), plus a peak-density bound used for the node
-    threshold.
+    configuration point and time, the closed-form log-derivative in two
+    steps (_closed_form, then _log_ratio on its ratio inputs), plus a
+    peak-density bound used for the node threshold.
     """
 
     dim = None
@@ -152,14 +156,23 @@ class ExactField:
     def peak_density(self, t):
         raise NotImplementedError
 
-    def _log_derivative(self, *args, curvature=False):
-        """(D, log_ratio), or (D, dD, log_ratio) with curvature=True.
+    def _closed_form(self, *args, curvature=False):
+        """(D, ratio_in), or (D, dD, ratio_in) with curvature=True.
 
         D is the tuple of d(ln psi)/d(coordinate), dD the tuple of
-        d(D_i)/d(coordinate i), and log_ratio = ln(|psi|^2 /
-        peak_density(t)), all in closed form (module docstring).
+        d(D_i)/d(coordinate i), ratio_in the inputs of _log_ratio.
         """
         raise NotImplementedError
+
+    def _log_ratio(self, *ratio_in):
+        """ln(|psi|^2 / peak_density(t)); Re(alpha), the last input, may
+        be an array that broadcasts against the coordinates."""
+        raise NotImplementedError
+
+    def _log_derivative(self, *args, curvature=False):
+        """(D, log_ratio), or (D, dD, log_ratio) with curvature=True."""
+        *d, ratio_in = self._closed_form(*args, curvature=curvature)
+        return (*d, self._log_ratio(*ratio_in))
 
     # -- derived quantities ------------------------------------------------
 
@@ -180,8 +193,17 @@ class ExactField:
 
         Raises NodeError if any point is at a node.
         """
-        v = self.velocity(*_stack(points, self.dim).T, t)
-        return v[:, None] if self.dim == 1 else np.stack(v, axis=-1)
+        v, ratio_in = self._vectors(_stack(points, self.dim), t)
+        _node_guard(self._log_ratio(*ratio_in), t, EPS_NODE, "velocity")
+        return v
+
+    def _vectors(self, pts, t):
+        """Unguarded velocity vectors at pts, shape (m, dim), and the
+        points' density-ratio inputs."""
+        d, ratio_in = self._closed_form(*pts.T, t)
+        v = [x.imag for x in d]
+        return (v[0][:, None] if self.dim == 1 else np.stack(v, axis=-1),
+                ratio_in)
 
     def log_amplitude(self, *args, node_floor=0.0):
         """g = ln|psi| (so the probability density is e^{2g}).
@@ -249,14 +271,16 @@ class SlitPacketField(ExactField):
         st2 = np.abs(sigma_t(self.params, t)) ** 2
         return (2.0 * np.pi * st2) ** -0.5
 
-    def _log_derivative(self, y, t, curvature=False):
+    def _closed_form(self, y, t, curvature=False):
         a = _alpha(self.params, t)
         dy = np.asarray(y, dtype=float) - self.center
         d = (-2.0 * a * dy,)
-        log_ratio = -2.0 * a.real * dy ** 2
         if curvature:
-            return d, (-2.0 * a,), log_ratio
-        return d, log_ratio
+            return d, (-2.0 * a,), (dy, a.real)
+        return d, (dy, a.real)
+
+    def _log_ratio(self, dy, re_a):
+        return -2.0 * re_a * dy ** 2
 
     def similarity_position(self, y0, t):
         """Exact Bohmian path: the packet's self-similar spreading flow."""
@@ -292,7 +316,7 @@ class OneParticleField(ExactField):
         # |N(psi_A + psi_B)|^2 <= 4 N^2 max|psi_A|^2
         return 4.0 * self.norm_constant ** 2 * self._a.peak_density(t)
 
-    def _log_derivative(self, y, t, curvature=False):
+    def _closed_form(self, y, t, curvature=False):
         y = np.asarray(y, dtype=float)
         a, big_y = _alpha(self.params, t), self.params.Y
         k = 2.0 * a * big_y
@@ -300,14 +324,16 @@ class OneParticleField(ExactField):
         # named operands, as in _packets
         diff = y - big_y * big_t
         d = (-2.0 * a * diff,)
-        # |1 + sign*T| = |sign + T|, with sign(+-0) = +-1: np.sign(0) = 0
-        # would drop the 1
-        log_ratio = (-2.0 * a.real * (np.abs(y) - big_y) ** 2
-                     - 2.0 * np.log(np.abs(big_t + np.copysign(1.0, y))))
         if curvature:
             dt_du = 1.0 - big_t * big_t
-            return d, (k * k * dt_du - 2.0 * a,), log_ratio
-        return d, log_ratio
+            return d, (k * k * dt_du - 2.0 * a,), (y, big_t, a.real)
+        return d, (y, big_t, a.real)
+
+    def _log_ratio(self, y, big_t, re_a):
+        # |1 + sign*T| = |sign + T|, with sign(+-0) = +-1: np.sign(0) = 0
+        # would drop the 1
+        return (-2.0 * re_a * (np.abs(y) - self.params.Y) ** 2
+                - 2.0 * np.log(np.abs(big_t + np.copysign(1.0, y))))
 
 
 class TwoParticleField(ExactField):
@@ -325,9 +351,10 @@ class TwoParticleField(ExactField):
 
     def psi(self, y1, y2, t):
         s = self.params.exchange_sign
+        # the same product on swapped coordinates: exact exchange parity
         return self.norm_constant * (
             self._a.psi(y1, t) * self._b.psi(y2, t)
-            + s * self._b.psi(y1, t) * self._a.psi(y2, t))
+            + s * (self._a.psi(y2, t) * self._b.psi(y1, t)))
 
     def psi_grad(self, y1, y2, t):
         s = self.params.exchange_sign
@@ -351,27 +378,29 @@ class TwoParticleField(ExactField):
     def peak_density(self, t):
         return 4.0 * self.norm_constant ** 2 * self._a.peak_density(t) ** 2
 
-    def _log_derivative(self, y1, y2, t, curvature=False):
+    def _closed_form(self, y1, y2, t, curvature=False):
         y1, y2 = np.asarray(y1, dtype=float), np.asarray(y2, dtype=float)
-        a, big_y = _alpha(self.params, t), self.params.Y
-        k = 2.0 * a * big_y
-        dy = y1 - y2
+        a = _alpha(self.params, t)
+        k = 2.0 * a * self.params.Y
         # coth is infinite on the fermion diagonal, where the log ratio is
         # -inf and the node guard fires
         with np.errstate(divide="ignore", invalid="ignore"):
-            big_t = np.tanh(k * dy)
+            big_t = np.tanh(k * (y1 - y2))
             if self.params.exchange_sign < 0:
                 big_t = 1.0 / big_t
             kt = k * big_t
             d = (-2.0 * a * y1 + kt, -2.0 * a * y2 - kt)
-            sy = np.copysign(big_y, dy)     # as in OneParticleField
-            log_ratio = (-2.0 * a.real * ((y1 - sy) ** 2 + (y2 + sy) ** 2)
-                         - 2.0 * np.log(np.abs(big_t + np.copysign(1.0, dy))))
             if curvature:
                 dt_du = 1.0 - big_t * big_t     # named, as in _packets
                 dd = k * k * dt_du - 2.0 * a
-                return d, (dd, dd), log_ratio
-        return d, log_ratio
+                return d, (dd, dd), (y1, y2, big_t, a.real)
+        return d, (y1, y2, big_t, a.real)
+
+    def _log_ratio(self, y1, y2, big_t, re_a):
+        dy = y1 - y2
+        sy = np.copysign(self.params.Y, dy)     # as in OneParticleField
+        return (-2.0 * re_a * ((y1 - sy) ** 2 + (y2 + sy) ** 2)
+                - 2.0 * np.log(np.abs(big_t + np.copysign(1.0, dy))))
 
 
 def field_for(params, field_kind=""):
@@ -409,20 +438,32 @@ def exact_trajectory(fld, starts, t_grid):
 
     A stack of starts, shape (m, dim), is integrated in one RK4 loop and
     gives a list of m Trajectories, each equal to its start integrated
-    alone as a one-row stack.
+    alone as a one-row stack. The stages take D only; the guard of
+    velocity_at is decided once per step on the four stages' ratio inputs,
+    so positions and NodeError are those of an RK4 over velocity_at.
+    Stages after a rejected one may overflow or meet inf or NaN, hence
+    the quiet errstate: the guard rejects each such chain.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     r = _stack(starts, fld.dim)
     positions = np.empty((len(r), len(t_grid), fld.dim))
     positions[:, 0] = r
-    for k in range(len(t_grid) - 1):
-        t0, h = t_grid[k], t_grid[k + 1] - t_grid[k]
-        k1 = fld.velocity_at(r, t0)
-        k2 = fld.velocity_at(r + 0.5 * h * k1, t0 + 0.5 * h)
-        k3 = fld.velocity_at(r + 0.5 * h * k2, t0 + 0.5 * h)
-        k4 = fld.velocity_at(r + h * k3, t0 + h)
-        r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        positions[:, k + 1] = r
+    with np.errstate(all="ignore"):
+        for k in range(len(t_grid) - 1):
+            t0, h = t_grid[k], t_grid[k + 1] - t_grid[k]
+            ts = (t0, t0 + 0.5 * h, t0 + 0.5 * h, t0 + h)
+            k1, in1 = fld._vectors(r, ts[0])
+            k2, in2 = fld._vectors(r + 0.5 * h * k1, ts[1])
+            k3, in3 = fld._vectors(r + 0.5 * h * k2, ts[2])
+            k4, in4 = fld._vectors(r + h * k3, ts[3])
+            # one row per stage; broadcasting Re(alpha) keeps the bits
+            *cols, re_a = map(np.array, zip(in1, in2, in3, in4))
+            log_ratio = fld._log_ratio(*cols, re_a[:, None])
+            if not _off_node(log_ratio, EPS_NODE).all():
+                for t, lr in zip(ts, log_ratio):
+                    _node_guard(lr, t, EPS_NODE, "velocity")
+            r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            positions[:, k + 1] = r
     return [Trajectory(times=t_grid.copy(), positions=p) for p in positions]
 
 

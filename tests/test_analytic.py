@@ -1,11 +1,14 @@
 """Exact interference fields, velocities, and trajectories."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from slitsim import analytic
 from slitsim.core import EPS_NODE, UniformGrid, WavePacketParams
 from slitsim.errors import NodeError
+from slitsim.fd_solver import exchange_parity
 
 
 def test_complex_width():
@@ -97,6 +100,16 @@ def test_exchange_symmetry(boson_field, fermion_field):
             pf = fermion_field.psi(y1, y2, t)
             assert pf == pytest.approx(-fermion_field.psi(y2, y1, t),
                                        rel=1e-12, abs=1e-15)
+
+
+def test_sampled_two_particle_field_has_exact_exchange_parity(
+        boson_field, fermion_field):
+    # at t > 0 the packets are complex: psi(y2, y1) = s psi(y1, y2) to the
+    # bit only if the exchanged term is the same product on swapped axes
+    g = UniformGrid(-6.0, 6.0, 41, dim=2)
+    assert exchange_parity(analytic.sample_field(boson_field, g, 0.05)) == 1
+    assert exchange_parity(analytic.sample_field(fermion_field, g,
+                                                 0.05)) == -1
 
 
 def test_fermion_diagonal_node(fermion_field):
@@ -296,22 +309,74 @@ def _scalar_rk4(fld, start, t_grid):
 FAN = [(s,) for sign in (1, -1) for s in sign * np.arange(0.4, 1.81, 0.2)]
 
 
+def _velocity_at_rk4(fld, starts, t_grid):
+    """Reference: classic RK4 over velocity_at, guarded at every stage.
+    Positions of shape (m, nt, dim)."""
+    r = np.asarray(starts, dtype=float)
+    positions = [r]
+    for k in range(len(t_grid) - 1):
+        t0, h = t_grid[k], t_grid[k + 1] - t_grid[k]
+        k1 = fld.velocity_at(r, t0)
+        k2 = fld.velocity_at(r + 0.5 * h * k1, t0 + 0.5 * h)
+        k3 = fld.velocity_at(r + 0.5 * h * k2, t0 + 0.5 * h)
+        k4 = fld.velocity_at(r + h * k3, t0 + h)
+        r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        positions.append(r)
+    return np.stack(positions, axis=1)
+
+
 @pytest.mark.parametrize("which, starts, dt", [
     ("one", FAN, 2e-4),
     ("boson", [(1.0, -0.6), (1.0, -1.4)], 2.5e-4),
+    ("fermion", [(1.0, -0.6), (0.3, -1.2)], 2.5e-4),
+    ("packet", [(1.2,), (0.9,)], 5e-4),
 ])
 def test_exact_trajectory_stack_equals_each_start(which, starts, dt,
-                                                  one_field, boson_field):
-    fld = one_field if which == "one" else boson_field
+                                                  packet_field, one_field,
+                                                  boson_field,
+                                                  fermion_field):
+    fld = {"packet": packet_field, "one": one_field, "boson": boson_field,
+           "fermion": fermion_field}[which]
     t_grid = np.arange(81) * dt
     stack = analytic.exact_trajectory(fld, starts, t_grid)
     assert len(stack) == len(starts)
+    # the guard once per step leaves the bits of a guard at every stage
+    assert np.array_equal(np.array([traj.positions for traj in stack]),
+                          _velocity_at_rk4(fld, starts, t_grid))
     for traj, s in zip(stack, starts):
         alone, = analytic.exact_trajectory(fld, [s], t_grid)
         assert np.array_equal(traj.positions, alone.positions)
         assert np.array_equal(traj.times, alone.times)
         assert np.allclose(traj.positions, _scalar_rk4(fld, s, t_grid),
                            rtol=1e-12, atol=0.0)
+
+
+# -- the node guard, decided once per RK4 step -----------------------------
+
+@pytest.mark.parametrize("which, starts, t_grid, t_node", [
+    # a start in the tail
+    ("one", [(0.5,), (5.0,)], np.arange(11) * 2e-4, "0.0"),
+    # a start on the fermion diagonal, where coth is infinite
+    ("fermion", [(1.0, -0.6), (0.4, 0.4)], np.arange(11) * 2.5e-4, "0.0"),
+    # coarse lattices: the start is above the floor, the point of a later
+    # stage of the same step is not (stage 3, then stage 4)
+    ("one", [(0.5,), (2.4,)], np.arange(4) * 0.1, "0.05"),
+    ("one", [(2.3,)], np.arange(4) * 0.15, "0.15"),
+    # a start so far out that the rejected stage 1 is clean but stage 2,
+    # which moves further out, overflows (|y| - Y)^2
+    ("one", [(0.5,), (1.3e154,)], 1.0 + np.arange(3) * 0.1, "1.0"),
+], ids=["tail", "diagonal", "stage3", "stage4", "far-tail"])
+def test_exact_trajectory_raises_the_per_stage_node_error(
+        which, starts, t_grid, t_node, one_field, fermion_field):
+    fld = one_field if which == "one" else fermion_field
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NodeError) as want:
+            _velocity_at_rk4(fld, starts, t_grid)
+        with pytest.raises(NodeError) as got:
+            analytic.exact_trajectory(fld, starts, t_grid)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == f"velocity undefined at a node (t={t_node})"
 
 
 def test_velocity_at_shapes(one_field, boson_field):

@@ -53,7 +53,7 @@ solver = hydro_lagrange
 """
 
 FD_LAYERS = ("fd_solver.steps", "bohm.velocity_field_calls",
-             "bohm.interpolate_calls")
+             "bohm.interpolate_calls", "analytic.exact_trajectory_s")
 HYDRO_LAYERS = ("mwls.build_calls", "hydro_solver.steps")
 
 
