@@ -51,31 +51,6 @@ def sigma_t(params, t):
     return s0 * (1.0 + 1j * t / (2.0 * s0 ** 2))
 
 
-def _packets(y, t, *packets, grad=False):
-    """The SlitPacketFields' normalized spreading Gaussians, stacked on a
-    new first axis, and with grad=True their y-derivatives too.
-
-    (2 pi sigma_t^2)^(-1/4) exp(-(y-c)^2 / (4 sigma0 sigma_t)), principal
-    branch of the fourth root. For t >= 0 the argument of sigma_t^2 stays
-    in [0, pi), so the principal branch is continuous in t. sigma_t and
-    the prefactor are formed once for all the packets.
-    """
-    y = np.asarray(y, dtype=float)
-    s0 = packets[0].params.sigma0
-    dy = y - np.array([f.center for f in packets]).reshape(-1, *[1] * y.ndim)
-    st = s0 * (1.0 + 1j * t / (2.0 * s0 ** 2))
-    # Named operands: numpy reuses an unnamed temporary of 256 KiB or more
-    # in place, which can swap a complex multiply's operands (not
-    # bit-commutative with FMA) and round a large stack unlike a short one.
-    pref = (2.0 * np.pi * st ** 2) ** -0.25
-    e = np.exp(-dy ** 2 / (4.0 * s0 * st))
-    p = pref * e
-    if not grad:
-        return p
-    slope = -dy / (2.0 * s0 * st)
-    return p, slope * p
-
-
 def _alpha(params, t):
     """alpha = 1/(4 sigma0 sigma_t) = 1/(4 sigma0^2 + 2i t), so that
     psi_c ~ exp(-alpha (y - c)^2)."""
@@ -135,22 +110,15 @@ def _stack(points, dim):
 class ExactField:
     """Common closed-form machinery: velocity, quantum potential, trajectories.
 
-    Subclasses provide psi / psi_grad / lap as functions of the
-    configuration point and time, the closed-form log-derivative in two
-    steps (_closed_form, then _log_ratio on its ratio inputs), plus a
-    peak-density bound used for the node threshold.
+    Subclasses provide psi as a function of the configuration point and
+    time, the closed-form log-derivative in two steps (_closed_form, then
+    _log_ratio on its ratio inputs), plus a peak-density bound used for
+    the node threshold.
     """
 
     dim = None
 
     def psi(self, *args):
-        raise NotImplementedError
-
-    def psi_grad(self, *args):
-        """(psi, tuple of d(psi)/d(coordinate)) from one packet evaluation."""
-        raise NotImplementedError
-
-    def lap(self, *args):
         raise NotImplementedError
 
     def peak_density(self, t):
@@ -170,9 +138,14 @@ class ExactField:
         raise NotImplementedError
 
     def _log_derivative(self, *args, curvature=False):
-        """(D, log_ratio), or (D, dD, log_ratio) with curvature=True."""
-        *d, ratio_in = self._closed_form(*args, curvature=curvature)
-        return (*d, self._log_ratio(*ratio_in))
+        """(D, log_ratio), or (D, dD, log_ratio) with curvature=True.
+
+        Overflow is quiet: it needs |y| > ~1e154, or coth of a tiny fermion
+        y1 - y2, where the log ratio is -inf or NaN and the guards reject.
+        """
+        with np.errstate(over="ignore"):
+            *d, ratio_in = self._closed_form(*args, curvature=curvature)
+            return (*d, self._log_ratio(*ratio_in))
 
     # -- derived quantities ------------------------------------------------
 
@@ -193,8 +166,10 @@ class ExactField:
 
         Raises NodeError if any point is at a node.
         """
-        v, ratio_in = self._vectors(_stack(points, self.dim), t)
-        _node_guard(self._log_ratio(*ratio_in), t, EPS_NODE, "velocity")
+        with np.errstate(over="ignore"):    # as in _log_derivative
+            v, ratio_in = self._vectors(_stack(points, self.dim), t)
+            log_ratio = self._log_ratio(*ratio_in)
+        _node_guard(log_ratio, t, EPS_NODE, "velocity")
         return v
 
     def _vectors(self, pts, t):
@@ -240,8 +215,9 @@ class ExactField:
         d, dd, log_ratio = self._log_derivative(*args, curvature=True)
         ok = _off_node(log_ratio, 0.0)
         v = tuple(np.where(ok, x.imag, np.nan) for x in d)
-        return ((v[0] if self.dim == 1 else v),
-                np.where(ok, _quantum_potential(d, dd), np.nan))
+        with np.errstate(over="ignore"):    # it overflows only where not ok
+            q = _quantum_potential(d, dd)
+        return (v[0] if self.dim == 1 else v), np.where(ok, q, np.nan)
 
 
 class SlitPacketField(ExactField):
@@ -254,18 +230,20 @@ class SlitPacketField(ExactField):
         self.center = params.Y if slit == SLIT_A else -params.Y
 
     def psi(self, y, t):
-        return _packets(y, t, self)[0]
+        """(2 pi sigma_t^2)^(-1/4) exp(-(y-c)^2 / (4 sigma0 sigma_t)).
 
-    def psi_grad(self, y, t):
-        p, d = _packets(y, t, self, grad=True)
-        return p[0], (d[0],)
-
-    def lap(self, y, t):
-        y = np.asarray(y, dtype=float)
-        st = sigma_t(self.params, t)
-        a = 1.0 / (2.0 * self.params.sigma0 * st)
-        fac = (a * (y - self.center)) ** 2 - a
-        return fac * self.psi(y, t)
+        Principal branch of the fourth root: for t >= 0 the argument of
+        sigma_t^2 stays in [0, pi), so the branch is continuous in t.
+        """
+        dy = np.asarray(y, dtype=float) - self.center
+        s0, st = self.params.sigma0, sigma_t(self.params, t)
+        # Named operands: numpy reuses an unnamed temporary of 256 KiB or
+        # more in place, which can swap a complex multiply's operands (not
+        # bit-commutative with FMA) and round a large stack unlike a short
+        # one.
+        pref = (2.0 * np.pi * st ** 2) ** -0.25
+        e = np.exp(-dy ** 2 / (4.0 * s0 * st))
+        return pref * e
 
     def peak_density(self, t):
         st2 = np.abs(sigma_t(self.params, t)) ** 2
@@ -281,11 +259,6 @@ class SlitPacketField(ExactField):
 
     def _log_ratio(self, dy, re_a):
         return -2.0 * re_a * dy ** 2
-
-    def similarity_position(self, y0, t):
-        """Exact Bohmian path: the packet's self-similar spreading flow."""
-        s = np.abs(sigma_t(self.params, t)) / self.params.sigma0
-        return self.center + (y0 - self.center) * s
 
 
 class OneParticleField(ExactField):
@@ -304,14 +277,6 @@ class OneParticleField(ExactField):
     def psi(self, y, t):
         return self.norm_constant * (self._a.psi(y, t) + self._b.psi(y, t))
 
-    def psi_grad(self, y, t):
-        (pa, pb), (da, db) = _packets(y, t, self._a, self._b, grad=True)
-        n = self.norm_constant
-        return n * (pa + pb), (n * (da + db),)
-
-    def lap(self, y, t):
-        return self.norm_constant * (self._a.lap(y, t) + self._b.lap(y, t))
-
     def peak_density(self, t):
         # |N(psi_A + psi_B)|^2 <= 4 N^2 max|psi_A|^2
         return 4.0 * self.norm_constant ** 2 * self._a.peak_density(t)
@@ -321,7 +286,7 @@ class OneParticleField(ExactField):
         a, big_y = _alpha(self.params, t), self.params.Y
         k = 2.0 * a * big_y
         big_t = np.tanh(k * y)
-        # named operands, as in _packets
+        # named operands, as in SlitPacketField.psi
         diff = y - big_y * big_t
         d = (-2.0 * a * diff,)
         if curvature:
@@ -356,25 +321,6 @@ class TwoParticleField(ExactField):
             self._a.psi(y1, t) * self._b.psi(y2, t)
             + s * (self._a.psi(y2, t) * self._b.psi(y1, t)))
 
-    def psi_grad(self, y1, y2, t):
-        s = self.params.exchange_sign
-        (a1, b1), (da1, db1) = _packets(y1, t, self._a, self._b, grad=True)
-        (a2, b2), (da2, db2) = _packets(y2, t, self._a, self._b, grad=True)
-        n = self.norm_constant
-        p = n * (a1 * b2 + s * b1 * a2)
-        d1 = n * (da1 * b2 + s * db1 * a2)
-        d2 = n * (a1 * db2 + s * b1 * da2)
-        return p, (d1, d2)
-
-    def lap(self, y1, y2, t):
-        s = self.params.exchange_sign
-        a1, b1 = self._a.psi(y1, t), self._b.psi(y1, t)
-        a2, b2 = self._a.psi(y2, t), self._b.psi(y2, t)
-        la1, lb1 = self._a.lap(y1, t), self._b.lap(y1, t)
-        la2, lb2 = self._a.lap(y2, t), self._b.lap(y2, t)
-        n = self.norm_constant
-        return n * (la1 * b2 + a1 * lb2 + s * (lb1 * a2 + b1 * la2))
-
     def peak_density(self, t):
         return 4.0 * self.norm_constant ** 2 * self._a.peak_density(t) ** 2
 
@@ -391,7 +337,7 @@ class TwoParticleField(ExactField):
             kt = k * big_t
             d = (-2.0 * a * y1 + kt, -2.0 * a * y2 - kt)
             if curvature:
-                dt_du = 1.0 - big_t * big_t     # named, as in _packets
+                dt_du = 1.0 - big_t * big_t  # named, as in SlitPacketField.psi
                 dd = k * k * dt_du - 2.0 * a
                 return d, (dd, dd), (y1, y2, big_t, a.real)
         return d, (y1, y2, big_t, a.real)

@@ -19,7 +19,7 @@ One `key = value` pair per line, `#` starts a comment. Keys:
     out.dir             output directory (overridden by $SLITSIM_OUT)
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 from .core import (MwlsConfig, ScenarioConfig, UniformGrid,
                    WavePacketParams)
@@ -185,36 +185,22 @@ def spec_to_dict(spec):
 
     out_dir is not recorded; spec_from_dict restores its default.
     """
-    cfg = spec.config
-    return {
-        "scenario": cfg.scenario,
-        "mode": spec.mode,
-        "solver": cfg.solver,
-        "field_kind": cfg.field_kind,
-        "packet": asdict(cfg.packet),
-        "grid": asdict(cfg.grid),
-        "t_final": cfg.t_final,
-        "n_steps": cfg.n_steps,
-        "trajectory_starts": [list(s) for s in cfg.trajectory_starts],
-        "snapshot_times": list(cfg.snapshot_times),
-        "mwls": None if cfg.mwls is None else asdict(cfg.mwls),
-        "qp_orders": list(spec.qp_orders),
-    }
+    return {**asdict(spec.config), "mode": spec.mode,
+            "qp_orders": spec.qp_orders}
 
+
+def _from_json(cls, value):
+    """Inverse of asdict on JSON data: a list becomes a tuple, and a dict
+    in a dataclass-typed field that dataclass (TypeError on a foreign key)."""
+    if isinstance(value, list):
+        return tuple(_from_json(None, v) for v in value)
+    if not (isinstance(value, dict) and is_dataclass(cls)):
+        return value
+    types = {f.name: f.type for f in fields(cls)}
+    return cls(**{k: _from_json(types.get(k), v) for k, v in value.items()})
 
 def spec_from_dict(d):
     """RunSpec from the output of spec_to_dict (e.g. read from a manifest)."""
-    config = ScenarioConfig(
-        packet=WavePacketParams(**d["packet"]),
-        grid=UniformGrid(**d["grid"]),
-        t_final=d["t_final"],
-        n_steps=d["n_steps"],
-        solver=d["solver"],
-        trajectory_starts=tuple(tuple(s) for s in d["trajectory_starts"]),
-        mwls=None if d["mwls"] is None else MwlsConfig(**d["mwls"]),
-        snapshot_times=tuple(d["snapshot_times"]),
-        scenario=d["scenario"],
-        field_kind=d["field_kind"],
-    )
-    return RunSpec(config=config, mode=d["mode"],
+    config = {k: v for k, v in d.items() if k not in ("mode", "qp_orders")}
+    return RunSpec(config=_from_json(ScenarioConfig, config), mode=d["mode"],
                    qp_orders=tuple(d["qp_orders"]))

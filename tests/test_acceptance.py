@@ -23,6 +23,8 @@ from slitsim.core import (MwlsConfig, ScenarioConfig, UniformGrid,
 from slitsim.errors import NodeError
 from slitsim.mwls import JetOperator
 
+from packet_sums import similarity_position
+
 RUN_SLOW = bool(os.environ.get("SLITSIM_SLOW"))
 slow = pytest.mark.skipif(
     not RUN_SLOW, reason="full-scale run; enable with SLITSIM_SLOW=1")
@@ -206,8 +208,8 @@ def test_criterion_6_node_problem_propagation(one_field, packet_field):
     csnaps, _ = hydro_solver.propagate_hydro(ctl)
     final = csnaps[-1]
     ctl_err = float(np.abs(
-        final.y - packet_field.similarity_position(ctl.grid.axis(),
-                                                   final.t)).max())
+        final.y - similarity_position(packet_field, ctl.grid.axis(),
+                                      final.t)).max())
 
     ratio = hydro_err / fd_err
     detail = (f"hydro node err {hydro_err:.2e} vs fd {fd_err:.2e} "

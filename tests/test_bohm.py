@@ -9,6 +9,8 @@ from slitsim import analytic, bohm, fd_solver
 from slitsim.core import EPS_NODE, ComplexField, UniformGrid, WavePacketParams
 from slitsim.errors import OutsideGrid
 
+from packet_sums import similarity_position
+
 
 def _synthetic_vf(grid, func, mask=None):
     y = grid.axis()
@@ -213,7 +215,7 @@ def test_dt_refinement():
     for n_steps in (25, 400):
         provider = bohm.FdFieldProvider(initial, 0.2 / n_steps, n_steps)
         traj = _solo(provider, (1.4,))
-        exact = fld.similarity_position(1.4, 0.2)
+        exact = similarity_position(fld, 1.4, 0.2)
         errs.append(abs(traj.positions[-1, 0] - exact))
     assert errs[1] < errs[0]
 

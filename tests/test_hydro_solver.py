@@ -1,6 +1,7 @@
 """Quantum-hydrodynamic steppers in both viewpoints."""
 
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from slitsim import fd_solver, hydro_solver
 from slitsim.core import (MwlsConfig, ScenarioConfig, UniformGrid,
                           WavePacketParams)
 from slitsim.mwls import JetOperator
+
+from packet_sums import similarity_position
 
 
 CFG12 = MwlsConfig(n_neighbors=12, poly_order=5)
@@ -98,10 +101,39 @@ def test_engines_agree_on_smooth_data(packet_field):
 
 
 def test_crossing_flips_status_degraded():
+    # every value stays finite; Euler's points stay on the grid, so the
+    # would-be crossing flags only the Lagrangian step
     y = np.linspace(-1.0, 1.0, 41)
     ens = hydro_solver.FluidEnsemble(y=y.copy(), v=-10.0 * y,
                                      g=np.zeros_like(y), t=0.0)
-    out = hydro_solver.lagrangian_step(ens, 0.2, JetOperator(y, CFG12))
+    op = JetOperator(y, CFG12)
+    out = hydro_solver.lagrangian_step(ens, 0.2, op)
+    assert out.status == hydro_solver.DEGRADED
+    euler = hydro_solver.eulerian_step(ens, 0.2, op)
+    assert euler.status == hydro_solver.VALID
+    assert all(np.isfinite(a).all() for e in (out, euler)
+               for a in (e.y, e.v, e.g))
+
+
+@pytest.mark.parametrize("step, nan_call, bad", [
+    ("lagrangian_step", 1, "v"), ("lagrangian_step", 2, "g"),
+    ("eulerian_step", 1, "v"), ("eulerian_step", 0, "g")])
+def test_non_finite_v_or_g_flips_status_degraded(step, nan_call, bad):
+    # a step applies its operator to g, Q and v in turn: a NaN first
+    # derivative of Q reaches v alone, of v (Lagrange) or g (Euler) g alone
+    calls = []
+
+    def apply(f):
+        d = np.zeros_like(f)
+        d[5] = np.nan if len(calls) == nan_call else 0.0
+        calls.append(f)
+        return f, d, np.zeros_like(f)
+
+    y, zero = np.linspace(-1.0, 1.0, 11), np.zeros(11)
+    ens = hydro_solver.FluidEnsemble(y=y, v=zero, g=zero, t=0.0)
+    out = getattr(hydro_solver, step)(ens, 1e-3, SimpleNamespace(apply=apply))
+    assert np.isnan(getattr(out, bad)).any() and np.isfinite(out.y).all()
+    assert np.isfinite(getattr(out, {"v": "g", "g": "v"}[bad])).all()
     assert out.status == hydro_solver.DEGRADED
 
 
@@ -177,7 +209,7 @@ def test_single_packet_refinement_ladder(packet_field):
         snaps, diags = hydro_solver.propagate_hydro(cfg)
         final = snaps[-1]
         y0 = cfg.grid.axis()
-        exact = packet_field.similarity_position(y0, final.t)
+        exact = similarity_position(packet_field, y0, final.t)
         errors.append(np.abs(final.y - exact).max())
         assert final.status == hydro_solver.VALID
     assert errors[0] > errors[1] > errors[2]
@@ -216,7 +248,7 @@ def test_slits_only_demonstration(packet_field):
     final = snaps[-1]
     assert final.status == hydro_solver.VALID
     upper = final.y[final.y > 0]
-    exact = packet_field.similarity_position(pts[pts > 0], final.t)
+    exact = similarity_position(packet_field, pts[pts > 0], final.t)
     assert np.abs(upper - exact).max() < 1e-4
 
 
