@@ -8,11 +8,9 @@ stencils run only on the block of the grid that holds the unmasked
 points, which gives the same numbers as the whole grid. For a 2D field
 with exchange parity (FdFieldProvider finds it once) they run along
 axis 0 only, and the second component is the transposed first. Off-grid
-values come from local cubic interpolation, whose nominal stencils take
-their nodes and Lagrange denominators from a table built once per grid
-(_weight_table). A stencil that touches a masked point is replaced, in
-the same batched call, by the 4 nearest unmasked points around it, or
-gives NaN where too few are left.
+values are local cubics in power form (interpolate_velocity); a stencil
+that touches a masked point takes the 4 nearest unmasked points around
+it, or gives NaN where too few are left.
 Trajectories are RK4 with the velocity linearly interpolated in time
 between adjacent field steps. A family of trajectories is integrated as
 one stack in a single pass over the solver's time lattice, holding only
@@ -37,6 +35,12 @@ from .core import EPS_NODE, MIN_POINTS
 from .errors import OutsideGrid
 
 
+#: [1, u, u^2, u^3] @ _BASIS: the cubic Lagrange weights on the nodes
+#: u = 0 ... 3, as literal rationals.
+_BASIS = np.array([[6.0, 0, 0, 0], [-11, 18, -9, 2], [6, -15, 12, -3],
+                   [-1, 3, -3, 1]]) / 6.0
+
+
 @dataclass(frozen=True)
 class VelocityField:
     """Bohmian velocity sampled on the grid at one instant."""
@@ -45,6 +49,13 @@ class VelocityField:
     t: float
     components: tuple      # one array per axis
     mask: np.ndarray       # True where velocity is undefined (near-node)
+
+    @functools.cached_property
+    def cells(self):
+        """1D: column b, the power-form cubic through grid points b ...
+        b + 3 in u = (x - lo)/delta - b; NaN if one is masked."""
+        v = np.where(self.mask, np.nan, self.components[0])
+        return _BASIS @ np.array([v[j:len(v) - 3 + j] for j in range(4)])
 
 
 def velocity_field(field, t=0.0, parity=0):
@@ -117,32 +128,12 @@ def _lagrange_eval(weights, ys):
     return total
 
 
-def _stencil_base(grid, x):
-    """First index of the 4-point stencil around x (array or scalar)."""
-    i = np.floor((x - grid.lo) / grid.delta).astype(int)
-    return np.minimum(np.maximum(i - 1, 0), grid.n - 4)
-
-
-@functools.lru_cache(maxsize=8)
-def _weight_table(grid):
-    """Nodes (b, 4) of the nominal stencil at each base index b, and the
-    Lagrange denominators (b, 4, 3) x_j - x_k that _lagrange_weights
-    forms from them."""
-    nodes = grid.lo + (np.arange(grid.n - 3)[:, None]
-                       + np.arange(4)) * grid.delta
-    den = nodes[:, :, None] - nodes[:, _OTHERS]
-    nodes.flags.writeable = den.flags.writeable = False
-    return nodes, den
-
-
-def _nominal_weights(grid, pts):
-    """Base index (m, dim) and weights (m, dim, 4) of the nominal stencils
-    around a (m, dim) stack: _lagrange_weights on tabulated nodes."""
-    base = _stencil_base(grid, pts)
-    nodes, den = _weight_table(grid)
-    r = ((pts[..., None] - nodes.take(base, axis=0)).take(_OTHERS, axis=-1)
-         / den.take(base, axis=0))
-    return base, r[..., 0] * r[..., 1] * r[..., 2]
+def _local(grid, x):
+    """First index b of the 4-point stencil around x (array or scalar),
+    and the local coordinate u = (x - lo)/delta - b, in [0, 3]."""
+    s = (x - grid.lo) / grid.delta
+    b = np.minimum(np.maximum(np.floor(s).astype(int) - 1, 0), grid.n - 4)
+    return b, s - b
 
 
 def _stencils(mask, start, x, grid):
@@ -156,7 +147,7 @@ def _stencils(mask, start, x, grid):
     is majority-masked or fewer than 4 are left; such lines keep the
     nominal stencil, so that their weights stay finite.
     """
-    win = _stencil_base(grid, x)[:, None, None] + np.arange(-1, 5)
+    win = _local(grid, x)[0][:, None, None] + np.arange(-1, 5)
     inside = (win >= 0) & (win < grid.n)
     win = np.clip(win, 0, grid.n - 1)
     free = ~mask[start + win] & inside
@@ -174,18 +165,39 @@ def _inside(grid, points):
     return np.all((points >= grid.lo) & (points <= grid.hi), axis=1)
 
 
+def _weights(u):
+    """The cubic weights (..., 4) at u, [1, u, u^2, u^3] @ _BASIS."""
+    p = np.ones(u.shape + (4,))
+    p[..., 1:] = u[..., None]
+    return np.cumprod(p, axis=-1, out=p) @ _BASIS
+
+
+def _masked(fld, pts):
+    """Velocity at a (m, dim) stack from Lagrange weights on the
+    _stencils of each line; NaN on an unusable line."""
+    grid, x = fld.grid, pts[:, -1]
+    rows = _local(grid, pts[:, :1])[0] + np.arange(4)     # 2D column pass
+    start = rows[..., None] * grid.n if grid.dim == 2 else 0
+    idx, ok = _stencils(fld.mask.ravel(), start, x, grid)
+    w = _lagrange_weights(grid.lo + idx * grid.delta, x[:, None])
+    w[~ok] = np.nan
+    if grid.dim == 1:
+        return _lagrange_eval(w, fld.components[0][idx])
+    w_rows = _lagrange_weights(grid.lo + rows * grid.delta, pts[:, 0])
+    return np.stack([_lagrange_eval(w_rows, _lagrange_eval(
+        w, comp.ravel()[start + idx])) for comp in fld.components], axis=1)
+
+
 def interpolate_velocity(vf, points):
     """Velocity at off-grid points by local cubic interpolation.
 
     points is a stack of shape (m, dim); the result has shape (m, dim).
-    The last axis is interpolated along lines: the grid in 1D, in 2D the
-    4 rows of each point's stencil, which a column pass then combines.
-    Where a stencil touches a masked point, every line takes its stencil
-    from _stencils; an unusable line is NaN and a NaN row carries through
-    the column pass. Points outside the grid raise OutsideGrid. vf may
-    also be a tuple of VelocityFields on one grid: the nominal stencils
-    and weights are then set up once, and the result is a tuple with one
-    array per field.
+    The cubics are in power form (de Boor, A Practical Guide to Splines,
+    2001) in the u of _local: in 1D a Horner on the field's cells, in 2D
+    two batched matmuls of the (4, 4) patch with the _weights. A stencil
+    that touches the mask takes _masked. Points outside the grid raise
+    OutsideGrid. vf may also be a tuple of VelocityFields on one grid;
+    the result is then a tuple, one array per field.
     """
     single = isinstance(vf, VelocityField)
     fields = (vf,) if single else vf
@@ -196,31 +208,23 @@ def interpolate_velocity(vf, points):
         inside = _inside(grid, pts)
         raise OutsideGrid(f"point {pts[~inside][0]} outside the grid")
 
-    # stencils (m, 1, 4) along the lines; start: flat index of line starts
-    x = pts[:, -1]
-    base, w_all = _nominal_weights(grid, pts)
-    cols = base[:, -1:, None] + np.arange(4)
-    w = w_all[:, -1:]
-    start = 0
-    if grid.dim == 2:
-        w_rows = w_all[:, 0]
-        start = (base[:, :1] + np.arange(4))[..., None] * grid.n
-    nominal = start + cols
-    outs = []
-    for fld in fields:
-        mask = fld.mask.ravel()
-        flat, w_line = nominal, w
-        if mask[nominal].any():
-            idx, ok = _stencils(mask, start, x, grid)
-            flat = start + idx
-            w_line = _lagrange_weights(grid.lo + idx * grid.delta, x[:, None])
-            w_line[~ok] = np.nan
-        out = np.empty(pts.shape)
-        for c, comp in enumerate(fld.components):
-            vals = _lagrange_eval(w_line, comp.ravel()[flat])
-            out[:, c] = (vals[:, 0] if grid.dim == 1
-                         else _lagrange_eval(w_rows, vals))
-        outs.append(out)
+    base, u = _local(grid, pts)
+    if grid.dim == 1:
+        outs = [((c[3] * u + c[2]) * u + c[1]) * u + c[0]
+                for c in (fld.cells.take(base, axis=1) for fld in fields)]
+        redo = [np.isnan(out[:, 0]) for out in outs]
+    else:
+        w, n = _weights(u), grid.n
+        flat = (base @ (n, 1))[:, None, None] + np.add.outer(   # (m, 4, 4)
+            np.arange(0, 4 * n, n), np.arange(4))
+        patches = np.array([comp.take(flat) for fld in fields
+                            for comp in fld.components])
+        vals = w[:, :1] @ patches @ w[:, 1, :, None]
+        outs = list(vals.reshape(len(fields), 2, -1).transpose(0, 2, 1).copy())
+        redo = [fld.mask.take(flat).any(axis=(1, 2)) for fld in fields]
+    for fld, out, r in zip(fields, outs, redo):
+        if r.any():
+            out[r] = _masked(fld, pts[r])
     return outs[0] if single else tuple(outs)
 
 

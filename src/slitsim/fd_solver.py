@@ -26,21 +26,21 @@ differencing, in place: out = base + k L f, where L is the integer
 stencil of 12 delta^2 d^2/dy^2 (or 12 delta d/dy) summed over the chosen
 axes. For a Horner stage k = -+c dt / (24 delta^2) is folded into the
 weights, so the stage writes straight into the next stage's arrays with
-no separate Laplacian or right-hand side. Only axis 0 is differenced
-(`_down`), on the flat C-ordered arrays: with s the flat stride of a
-row, the interior is two scaled pair sums, f[i+s] + f[i-s] and
-f[i+2s] + f[i-2s] (differences for d/dy), each one contiguous strip,
-and the edge stencils, one (2 x 6) matmul per side, write rows 0, 1, -2
-and -1. In 2D, out = A + B.T, with A the axis-0 term of f and B that of
-f.T; the centre term of both axes then goes on once. Both axes take the
-same operations, so an exchange-symmetric field stays exactly
+no separate Laplacian or right-hand side. `_down` differences one axis
+on the flat C-ordered arrays: with s the flat stride of the axis, the
+interior is two scaled pair sums, f[i+s] + f[i-s] and f[i+2s] + f[i-2s]
+(differences for d/dy), each one contiguous strip, and the edge
+stencils, one (2 x 6) matmul per side, write rows 0, 1, -2 and -1;
+along axis 1 (s = 1) the strips run over the row ends, and the edge
+stencils then write those columns. In 2D, out = A + B, the axis-0 and
+axis-1 terms, and the centre term of both axes goes on once. Both axes
+take the same operations, so an exchange-symmetric field stays exactly
 symmetric. A 2D field of two identical particles has exchange parity s
 (f.T == s f exactly; +1 bosons, -1 fermions), which iterate finds once,
-from the initial field; each stage then takes B = s A, the same bits
-without the transposed copy. `gradient` runs the same kernel with the
-first-derivative weights, along axis 1 on the transpose. In 1D the
-polynomial is applied once to the identity, and each step is then one
-prebuilt real matrix pair: psi <- (P + iQ) psi.
+from the initial field; each stage then takes B = s A.T, the same bits
+without differencing axis 1. `gradient` runs the same kernel with the
+first-derivative weights. In 1D the polynomial is applied once to the
+identity, and each step is one real matrix pair: psi <- (P + iQ) psi.
 """
 
 import math
@@ -101,36 +101,35 @@ def _folded(stencil, scale, n_axes):
 _D1 = _folded(_FIRST, 1.0, 1)
 
 
-def _work_strips(shape, axes, parity=0):
+def _work_strips(shape, axes):
     """The flat work buffers of _apply along `axes` on arrays of at most
-    `shape`, each of their size: one for axis 0 alone; for both axes two
-    with exchange parity, four without (f.T and its term); GridTooSmall
-    if an axis is too short for the stencils."""
+    `shape`, each of their size: one for one axis, two for both axes;
+    GridTooSmall if an axis is too short for the stencils."""
     for a in axes:
         if shape[a] < MIN_POINTS:
             raise GridTooSmall(f"stencils need at least {MIN_POINTS} points "
                                f"per axis, got {shape[a]}")
-    count = 1 if len(axes) == 1 else 2 if parity else 4
-    return tuple(np.empty(math.prod(shape)) for _ in range(count))
+    return tuple(np.empty(math.prod(shape)) for _ in axes)
 
 
-def _down(w, f, out, far):
-    """out = (stencil w along axis 0)(f), less the centre term.
+def _down(w, f, out, far, axis=0):
+    """out = (stencil w along `axis`)(f), less the centre term.
 
     f is a C-contiguous 1D or 2D array and out one of its shape (the flat
     views below are not copies); far is a flat work buffer of at least
-    f.size. s is the flat stride of axis 0."""
+    f.size; s is the flat stride of the axis (module docstring)."""
     fl, ol = f.reshape(-1, copy=False), out.reshape(-1, copy=False)
     n = fl.size
-    s = n // len(f)
+    s = 1 if axis else n // len(f)
     near, far = ol[2 * s:n - 2 * s], far[:n - 4 * s]
     w.pair(fl[3 * s:n - s], fl[s:n - 3 * s], out=near)
     near *= w.near
     w.pair(fl[4 * s:], fl[:n - 4 * s], out=far)
     far *= w.far
     near += far
-    out[:2] = w.lo @ f[:6]
-    out[-2:] = w.hi @ f[-6:]
+    g, o = (f.T, out.T) if axis else (f, out)
+    o[:2] = w.lo @ np.ascontiguousarray(g[:6])
+    o[-2:] = w.hi @ np.ascontiguousarray(g[-6:])
 
 
 def _apply(w, f, axes, out, work, base=None, parity=0):
@@ -139,24 +138,23 @@ def _apply(w, f, axes, out, work, base=None, parity=0):
     f is 1D or 2D; out has its shape and shares no memory with f or base;
     both are C-contiguous (a caller passes np.empty_like of a contiguous
     array). axes is (0,), or (0, 1) for a 2D f. base None means no base
-    term. work is from _work_strips for these axes, this parity and this
-    shape or a larger one. For axis 0 alone the axis-0 term goes straight
-    into out; for both axes out = A + B.T (module docstring), B = s A
-    for exchange parity s = +-1 (f.T == s f exactly). The centre and base
-    terms go on last, so a symmetric 2D f gives a symmetric out.
+    term. work is from _work_strips for these axes and this shape or a
+    larger one. For axis 0 alone its term goes straight into out; for
+    both axes out = A + B (module docstring), B = s A.T for exchange
+    parity s = +-1 (f.T == s f exactly). The centre and base terms go on
+    last, so a symmetric 2D f gives a symmetric out.
     """
     n = f.size
     if len(axes) == 1:
         _down(w, f, out, work[0])
     else:
-        a = b = work[1][:n].reshape(f.shape)
+        a = work[1][:n].reshape(f.shape)
         _down(w, f, a, work[0])
-        if not parity:
-            ft = work[2][:n].reshape(f.shape[::-1])
-            np.copyto(ft, f.T)
-            b = work[3][:n].reshape(ft.shape)
-            _down(w, ft, b, work[0])
-        (np.subtract if parity < 0 else np.add)(a, b.T, out=out)
+        if parity:
+            (np.subtract if parity < 0 else np.add)(a, a.T, out=out)
+        else:
+            _down(w, f, out, work[0], 1)
+            out += a
     if w.centre:
         out += np.multiply(f, w.centre, out=work[0][:n].reshape(f.shape))
     if base is not None:
@@ -175,19 +173,16 @@ def laplacian(values, grid):
 
 def gradient(values, grid, axes=None):
     """Tuple of 4th-order first derivatives, one per axis of `axes`
-    (default: every axis); along axis 1, the axis-0 derivative of the
-    transpose, transposed back."""
+    (default: every axis), each C-contiguous."""
     f = np.ascontiguousarray(values, dtype=float)
     out = []
     for a in range(grid.dim) if axes is None else axes:
-        g = np.ascontiguousarray(f.T) if a else f
-        d = np.empty_like(g)
-        # one work buffer per call: freeing two with the copy of f, all
-        # at once, made a 261^2 run fault 4x the pages (most likely
-        # glibc trimming its heap)
-        _apply(_D1, g, (0,), d, _work_strips(g.shape, (0,)))
+        d = np.empty_like(f)
+        # one work buffer per axis: freeing two at once made a 261^2 run
+        # fault 4x the pages (most likely glibc trimming its heap)
+        _down(_D1, f, d, _work_strips(f.shape, (a,))[0], a)
         d /= 12.0 * grid.delta
-        out.append(d.T if a else d)
+        out.append(d)
     return tuple(out)
 
 
@@ -202,7 +197,7 @@ class _Rk4:
         h = [0.5 * c * dt / (12.0 * delta ** 2) for c in _HORNER]
         self.stages = [(_folded(_SECOND, -k, len(axes)),
                         _folded(_SECOND, k, len(axes))) for k in h]
-        self.work = _work_strips(shape, axes, parity)
+        self.work = _work_strips(shape, axes)
 
     def step(self, re, im):
         """(re, im) one step on, as new arrays."""

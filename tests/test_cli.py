@@ -809,8 +809,10 @@ def _pinned_cut(tmp_path, scenario, edits, want):
 
 
 # sha256 of the CSVs of a 20-step cut of fig6 (all 16 starts, 261
-# points). Speed work on the trajectory layer and the exact oracle must
-# keep every element's operations and their order; these bytes pin that.
+# points): the FD field rows, and the trajectory rows of the
+# interpolation and the exact oracle as far as 20 steps let a rounding
+# change show. Power-form interpolation moved positions of the full
+# fig6 run by up to 1.4e-14 but left these bytes as they were.
 FIG6_CUT_SHA256 = {
     "fields.csv":
         "f4588165b5d66614e50cc13ceb57531bac748ba59f71018c0ebc8567de69b824",

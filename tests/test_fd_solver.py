@@ -104,8 +104,8 @@ def test_stencils_match_the_written_out_formulas(n):
 ], ids=["29x31", "min-points"])
 def test_stencils_on_a_block_view(rows, cols):
     # velocity_field differentiates a non-contiguous block of the grid;
-    # the stencils take a contiguous copy, and along axis 1 a contiguous
-    # copy of its transpose, which at MIN_POINTS is only just long enough
+    # the stencils take a contiguous copy, whose rows at MIN_POINTS are
+    # only just long enough for the axis-1 strips and edge columns
     g = UniformGrid(-2.0, 3.0, 131, dim=2)
     block = np.random.default_rng(5).standard_normal(g.shape)[rows, cols]
     assert not block.flags.c_contiguous

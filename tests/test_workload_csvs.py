@@ -22,8 +22,8 @@ SEED0_SHA256 = {
     "fd1d_fan": {
         "fields.csv": "1073d5bdacfda8cc25685c7472e010b8"
                       "9e3f5a3056b96c582246a2076a188a75",
-        "trajectories.csv": "0230367fe84362286f0a658c336974398"
-                            "a1e9b8f9d3e3581c49e9b15b14fb7b1"},
+        "trajectories.csv": "f9cc368bb492634f945127abb9d5a5a1"
+                            "eb81450a02648f2fb31e2f8cc5943cc1"},
     "fd2d_pair": {
         "fields.csv": "d8d945f47a0f348bdddab2d4ef6b38a3"
                       "107cdd62c5ee9f0996c262cc6dbcd23b",
