@@ -57,24 +57,19 @@ def _alpha(params, t):
     return 1.0 / (4.0 * params.sigma0 ** 2 + 2j * t)
 
 
-def _off_node(log_ratio, node_floor):
-    """Where ln(|psi|^2 / peak_density) is above ln(node_floor); False
-    where it is NaN. The log form matters at a floor of 0: the ratio
-    itself underflows in the tails before |psi|^2 does, so only true zeros
-    (the fermion diagonal) count as nodes there."""
-    floor = math.log(node_floor) if node_floor > 0 else -math.inf
-    return log_ratio > floor
+def _off_node(log_ratio, floor):
+    """Where ln(|psi|^2 / peak_density) is above ln(floor); False where it
+    is NaN. The log form matters at a floor of 0: the ratio itself
+    underflows in the tails before |psi|^2 does, so only true zeros (the
+    fermion diagonal) count as nodes there."""
+    return log_ratio > (math.log(floor) if floor > 0 else -math.inf)
 
 
-def _node_guard(log_ratio, t, node_floor, what):
-    """Raise NodeError unless every point is off the nodes (_off_node).
-
-    node_floor is relative to the instantaneous peak density; a floor of 0
-    only rejects true zeros, which is the right guard for closed-form
-    ratios whose tails are exact however small the density gets.
-    """
-    if not _off_node(log_ratio, node_floor).all():
-        raise NodeError(f"{what} undefined at a node (t={t})")
+def _node_guard(log_ratio, t):
+    """Raise NodeError unless every point is above EPS_NODE times the
+    instantaneous peak density: the guard of the trajectory calls."""
+    if not _off_node(log_ratio, EPS_NODE).all():
+        raise NodeError(f"velocity undefined at a node (t={t})")
 
 
 def _overlap(params):
@@ -93,11 +88,6 @@ def norm_constant_two(params):
     return 1.0 / np.sqrt(2.0 + 2.0 * params.exchange_sign * w ** 2)
 
 
-def _quantum_potential(d, dd):
-    """Q = -(1/2) sum_i [(Re D_i)^2 + Re d(D_i)/d(coordinate i)]."""
-    return -0.5 * sum(np.real(x) ** 2 + np.real(c) for x, c in zip(d, dd))
-
-
 def _stack(points, dim):
     """Configuration points as a float array of shape (m, dim)."""
     pts = np.asarray(points, dtype=float)
@@ -114,6 +104,12 @@ class ExactField:
     time, the closed-form log-derivative in two steps (_closed_form, then
     _log_ratio on its ratio inputs), plus a peak-density bound used for
     the node threshold.
+
+    Nodes follow one rule per use. The grid calls, log_amplitude and
+    velocity_and_potential, never raise: they give -inf (g) or NaN (v, Q)
+    only where the closed-form density is exactly zero. The trajectory
+    calls, velocity_at and exact_trajectory, raise NodeError where the
+    density falls to EPS_NODE times the instantaneous peak.
     """
 
     dim = None
@@ -141,7 +137,8 @@ class ExactField:
         """(D, log_ratio), or (D, dD, log_ratio) with curvature=True.
 
         Overflow is quiet: it needs |y| > ~1e154, or coth of a tiny fermion
-        y1 - y2, where the log ratio is -inf or NaN and the guards reject.
+        y1 - y2, where the log ratio is -inf or NaN, which every node rule
+        counts as a node.
         """
         with np.errstate(over="ignore"):
             *d, ratio_in = self._closed_form(*args, curvature=curvature)
@@ -149,27 +146,13 @@ class ExactField:
 
     # -- derived quantities ------------------------------------------------
 
-    def velocity(self, *args, node_floor=EPS_NODE):
-        """Bohmian velocity Im(d ln psi / d coordinate), per coordinate.
-
-        Equivalent to the phase gradient wherever psi != 0, but free of
-        arctan branch-cut artifacts. Raises NodeError where the density
-        falls below node_floor times the instantaneous peak.
-        """
-        d, log_ratio = self._log_derivative(*args)
-        _node_guard(log_ratio, args[-1], node_floor, "velocity")
-        comps = tuple(x.imag for x in d)
-        return comps[0] if self.dim == 1 else comps
-
     def velocity_at(self, points, t):
-        """Velocity vectors, shape (m, dim), at a stack of m points.
-
-        Raises NodeError if any point is at a node.
-        """
+        """Bohmian velocity vectors Im D, shape (m, dim), at a stack of m
+        points; NodeError if any of them is at a node (_node_guard)."""
         with np.errstate(over="ignore"):    # as in _log_derivative
             v, ratio_in = self._vectors(_stack(points, self.dim), t)
             log_ratio = self._log_ratio(*ratio_in)
-        _node_guard(log_ratio, t, EPS_NODE, "velocity")
+        _node_guard(log_ratio, t)
         return v
 
     def _vectors(self, pts, t):
@@ -180,43 +163,29 @@ class ExactField:
         return (v[0][:, None] if self.dim == 1 else np.stack(v, axis=-1),
                 ratio_in)
 
-    def log_amplitude(self, *args, node_floor=0.0):
-        """g = ln|psi| (so the probability density is e^{2g}).
-
-        Raises NodeError where |psi|^2 <= node_floor * peak_density(t),
-        decided on the closed-form density ratio, so that at a floor of 0
-        only true zeros are nodes. Where psi underflows to 0, g is the
-        closed form (ln(|psi|^2 / peak_density) + ln peak_density) / 2.
-        """
+    def log_amplitude(self, *args):
+        """g = ln|psi|, the density being e^{2g}. Where psi underflows to 0,
+        g is the closed form (ln(|psi|^2 / peak_density) + ln peak_density)
+        / 2: -inf only where the closed-form density is exactly zero."""
         log_ratio = self._log_derivative(*args)[-1]
-        t = args[-1]
-        _node_guard(log_ratio, t, node_floor, "log-amplitude")
-        a = np.abs(self.psi(*args))
-        with np.errstate(divide="ignore"):
+        with np.errstate(all="ignore"):     # psi overflows to 0 far out
+            a = np.abs(self.psi(*args))
             g = np.log(a)
         # [()]: a scalar for scalar coordinates, as np.log gives
         return np.where(a > 0, g, 0.5 * (log_ratio + np.log(
-            self.peak_density(t))))[()]
-
-    def quantum_potential(self, *args, node_floor=0.0):
-        """Q = -(1/2)[(grad g)^2 + lap g] with g = ln sqrt(P).
-
-        Derivatives of g are the real parts of the log-derivative D of psi:
-        grad g = Re D, lap g = Re sum_i d(D_i)/d(coordinate i).
-        """
-        d, dd, log_ratio = self._log_derivative(*args, curvature=True)
-        _node_guard(log_ratio, args[-1], node_floor, "quantum potential")
-        return _quantum_potential(d, dd)
+            self.peak_density(args[-1]))))[()]
 
     def velocity_and_potential(self, *args):
-        """velocity and quantum_potential from one closed-form pass, NaN
-        at the nodes: where the closed-form density is zero, not where
-        |psi|^2 underflows."""
+        """Velocity Im D per coordinate and Q = -(1/2)[(grad g)^2 + lap g]
+        from one closed-form pass: grad g = Re D, lap g = Re sum_i
+        d(D_i)/d(coordinate i). NaN at the nodes: where the closed-form
+        density is zero, not where |psi|^2 underflows."""
         d, dd, log_ratio = self._log_derivative(*args, curvature=True)
         ok = _off_node(log_ratio, 0.0)
         v = tuple(np.where(ok, x.imag, np.nan) for x in d)
         with np.errstate(over="ignore"):    # it overflows only where not ok
-            q = _quantum_potential(d, dd)
+            q = -0.5 * sum(np.real(x) ** 2 + np.real(c)
+                           for x, c in zip(d, dd))
         return (v[0] if self.dim == 1 else v), np.where(ok, q, np.nan)
 
 
@@ -407,7 +376,7 @@ def exact_trajectory(fld, starts, t_grid):
             log_ratio = fld._log_ratio(*cols, re_a[:, None])
             if not _off_node(log_ratio, EPS_NODE).all():
                 for t, lr in zip(ts, log_ratio):
-                    _node_guard(lr, t, EPS_NODE, "velocity")
+                    _node_guard(lr, t)
             r = r + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             positions[:, k + 1] = r
     return [Trajectory(times=t_grid.copy(), positions=p) for p in positions]

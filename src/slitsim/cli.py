@@ -257,7 +257,7 @@ def run_qp_study(spec, out_dir):
     exact_field = field_for(cfg.packet, cfg.field_kind)
     y = cfg.grid.axis()
     g = exact_field.log_amplitude(y, 0.0)
-    q_exact = exact_field.quantum_potential(y, 0.0)
+    _, q_exact = exact_field.velocity_and_potential(y, 0.0)
     near = np.abs(y) <= 0.2
     far = np.abs(y) >= 0.5
     far_scale = np.abs(q_exact[far]).max() if far.any() else None
@@ -402,6 +402,13 @@ def _error_report(errors, n_steps):
         lines.append(f"hydro t={d['t']:.6g}: max |dv| = "
                      f"{d['max_v_error']:.3e}, max |dQ| = "
                      f"{d['max_q_error']:.3e} [{d['status']}]")
+
+    for key, e in errors.get("orders", {}).items():
+        near = e["max_error_near_node"]
+        rows.append((f"qp_{key}", _fmt(e["max_error"]),
+                     "" if near is None else _fmt(near)))
+        lines.append(f"qp {key}: max |dQ| = {e['max_error']:.3e}, near "
+                     f"node {'n/a' if near is None else f'{near:.3e}'}")
     return rows, lines
 
 

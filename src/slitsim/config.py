@@ -6,8 +6,8 @@ One `key = value` pair per line, `#` starts a comment. Keys:
     mode                propagate (default) | qp_study
     particles           1 | 2
     exchange_sign       +1 | -1
-    field.kind          one_particle/two_particle by default; single_packet
-                        selects the isolated-Gaussian control field
+    field.kind          single_packet: the isolated-Gaussian control field
+                        (omitted: the field of `particles`)
     packet.Y  packet.sigma0
     grid.lo  grid.hi  grid.n
     t_final  n_steps
@@ -114,12 +114,9 @@ def parse_config(text):
 
     particles = get("particles", int, 1)
     field_kind = get("field.kind", str, "")
-    if field_kind not in ("", "one_particle", "two_particle",
-                          "single_packet"):
+    if field_kind not in ("", "single_packet"):
         raise ConfigError(f"unknown field.kind {field_kind!r}",
                           line=lines.get("field.kind"))
-    if field_kind in ("one_particle", "two_particle"):
-        field_kind = ""
 
     dim = 1 if particles == 1 or field_kind == "single_packet" else 2
     solver = get("solver", str)

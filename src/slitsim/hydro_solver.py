@@ -73,11 +73,11 @@ class HydroDiagnostics:
 def init_from_exact(field, points):
     """Ensemble sampling the exact field at t=0: g = ln|psi|, v = v_exact."""
     y = np.asarray(points, dtype=float).copy()
-    # zero node floor: the closed-form amplitude ratio is exact even deep
-    # in the Gaussian tails, where the density underflows the relative
-    # EPS_NODE threshold long before g = ln|psi| loses meaning
-    g = field.log_amplitude(y, 0.0, node_floor=0.0)
-    v = np.asarray(field.velocity(y, 0.0, node_floor=0.0), dtype=float)
+    # grid calls, which give -inf or NaN only at exact zeros: the closed
+    # forms hold deep in the Gaussian tails, far below the relative
+    # EPS_NODE threshold of the trajectory calls
+    g = field.log_amplitude(y, 0.0)
+    v, _ = field.velocity_and_potential(y, 0.0)
     return FluidEnsemble(y=y, v=v + 0.0, g=g, t=0.0)
 
 

@@ -154,7 +154,7 @@ def test_criterion_5_quantum_potential_orders(one_field):
     """MWLS quantum potential on 401 points, 12 neighbors, orders 2-5."""
     y = UniformGrid(-4.0, 4.0, 401).axis()
     g = one_field.log_amplitude(y, 0.0)
-    q_exact = one_field.quantum_potential(y, 0.0)
+    _, q_exact = one_field.velocity_and_potential(y, 0.0)
     near = np.abs(y) <= 0.2
     far = np.abs(y) >= 0.5
     scale = np.abs(q_exact[far]).max()
@@ -196,8 +196,8 @@ def test_criterion_6_node_problem_propagation(one_field, packet_field):
     vf = bohm.velocity_field(fld, t)
     y = cfg.grid.axis()
     sel = near & ~vf.mask
-    fd_err = float(np.abs(vf.components[0][sel]
-                          - one_field.velocity(y[sel], 0.01)).max())
+    v_exact, _ = one_field.velocity_and_potential(y[sel], 0.01)
+    fd_err = float(np.abs(vf.components[0][sel] - v_exact).max())
 
     # single-packet control: no node, hydro stays on the similarity flow
     ctl = ScenarioConfig(
@@ -289,7 +289,7 @@ def test_criterion_8_property_suite(one_field, boson_field,
     diag_ok = all(fermion_field.psi(v, v, 0.5) == 0.0
                   for v in (-0.8, 0.0, 1.1))
     try:
-        fermion_field.velocity(0.5, 0.5, 0.5)
+        fermion_field.velocity_at([(0.5, 0.5)], 0.5)
         diag_ok = False
     except NodeError:
         pass
@@ -318,12 +318,11 @@ def test_criterion_8_property_suite(one_field, boson_field,
     eps = 1e-5
     cont_ok = True
     for y0, t in ((0.9, 0.5), (1.5, 0.8)):
-        v = one_field.velocity(y0, t)
+        v = lambda yy: one_field.velocity_and_potential(yy, t)[0]
         lr = lambda yy, tt: 2.0 * one_field.log_amplitude(yy, tt)
-        along = (lr(y0 + eps * v, t + eps)
-                 - lr(y0 - eps * v, t - eps)) / (2 * eps)
-        div = (one_field.velocity(y0 + eps, t)
-               - one_field.velocity(y0 - eps, t)) / (2 * eps)
+        along = (lr(y0 + eps * v(y0), t + eps)
+                 - lr(y0 - eps * v(y0), t - eps)) / (2 * eps)
+        div = (v(y0 + eps) - v(y0 - eps)) / (2 * eps)
         cont_ok = cont_ok and abs(along + div) < 5e-4
     checks.append(("continuity along flow", cont_ok))
 

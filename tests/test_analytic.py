@@ -86,9 +86,10 @@ def test_reflection_symmetry(one_field):
     y = np.linspace(0.1, 1.8, 25)
     for t in (0.0, 0.5, 1.0):
         assert np.allclose(one_field.psi(y, t), one_field.psi(-y, t))
-        v = one_field.velocity(y, t)
-        assert np.allclose(v, -one_field.velocity(-y, t))
-        assert one_field.velocity(0.0, t) == pytest.approx(0.0, abs=1e-14)
+        v = one_field.velocity_and_potential(y, t)[0]
+        assert np.allclose(v, -one_field.velocity_and_potential(-y, t)[0])
+        assert one_field.velocity_and_potential(0.0, t)[0] == pytest.approx(
+            0.0, abs=1e-14)
 
 
 def test_exchange_symmetry(boson_field, fermion_field):
@@ -117,14 +118,17 @@ def test_sampled_two_particle_field_has_exact_exchange_parity(
 def test_fermion_diagonal_node(fermion_field):
     for y in (-1.0, 0.0, 0.4, 1.3):
         assert fermion_field.psi(y, y, 0.6) == 0.0
-    with pytest.raises(NodeError):
-        fermion_field.velocity(0.4, 0.4, 0.6)
-    # coth is infinite there: no RuntimeWarning, and a node at a floor of 0
-    for y in (np.array([0.4, 1.0]), 0.0):
-        with pytest.raises(NodeError):
-            fermion_field.velocity(y, y, 0.6, node_floor=0.0)
-        with pytest.raises(NodeError):
-            fermion_field.quantum_potential(y, y, 0.6)
+    # coth is infinite there: no warning, g = -inf, NaN v and Q, and the
+    # guarded call raises
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y in (np.array([0.4, 1.0]), 0.0):
+            assert np.all(fermion_field.log_amplitude(y, y, 0.6) == -np.inf)
+            (v1, v2), q = fermion_field.velocity_and_potential(y, y, 0.6)
+            assert np.isnan([v1, v2, q]).all()
+        with pytest.raises(NodeError) as exc:
+            fermion_field.velocity_at([(0.4, 0.4)], 0.6)
+    assert str(exc.value) == "velocity undefined at a node (t=0.6)"
 
 
 def test_velocity_matches_phase_gradient(one_field, boson_field):
@@ -133,8 +137,9 @@ def test_velocity_matches_phase_gradient(one_field, boson_field):
     for y, t in ((0.8, 0.5), (1.7, 1.0), (-0.3, 0.9)):
         phase = lambda yy: np.angle(one_field.psi(yy, t))
         v_fd = (phase(y + eps) - phase(y - eps)) / (2 * eps)
-        assert one_field.velocity(y, t) == pytest.approx(v_fd, abs=1e-6)
-    v1, v2 = boson_field.velocity(0.9, -0.4, 0.8)
+        v = one_field.velocity_and_potential(y, t)[0]
+        assert v == pytest.approx(v_fd, abs=1e-6)
+    (v1, v2), _ = boson_field.velocity_and_potential(0.9, -0.4, 0.8)
     ph = lambda a, b: np.angle(boson_field.psi(a, b, 0.8))
     assert v1 == pytest.approx((ph(0.9 + eps, -0.4) - ph(0.9 - eps, -0.4))
                                / (2 * eps), abs=1e-6)
@@ -147,21 +152,20 @@ def test_packet_velocity_closed_form(packet_field):
     p = WavePacketParams()
     for y, t in ((1.2, 1.0), (0.5, 0.3), (2.0, 0.8)):
         expected = (y - p.Y) * t / (4 * p.sigma0 ** 4 + t ** 2)
-        assert packet_field.velocity(y, t) == pytest.approx(expected,
-                                                            rel=1e-10)
+        v, _ = packet_field.velocity_and_potential(y, t)
+        assert v == pytest.approx(expected, rel=1e-10)
 
 
 def test_quantum_potential_values(packet_field, one_field):
     # isolated packet: Q = 1/(4|s|^2) - (y-Y)^2/(8|s|^4), s = sigma_t
     p = WavePacketParams()
-    assert packet_field.quantum_potential(1.0, 0.0) == pytest.approx(6.25)
+    q = lambda fld, *args: fld.velocity_and_potential(*args)[1]
+    assert q(packet_field, 1.0, 0.0) == pytest.approx(6.25)
     s2 = abs(analytic.sigma_t(p, 0.5)) ** 2
     expected = 1 / (4 * s2) - (1.3 - p.Y) ** 2 / (8 * s2 ** 2)
-    assert packet_field.quantum_potential(1.3, 0.5) == pytest.approx(
-        expected, rel=1e-10)
+    assert q(packet_field, 1.3, 0.5) == pytest.approx(expected, rel=1e-10)
     # frozen midpoint value of the interference field
-    assert one_field.quantum_potential(0.0, 0.0) == pytest.approx(
-        -71.875, rel=1e-12)
+    assert q(one_field, 0.0, 0.0) == pytest.approx(-71.875, rel=1e-12)
 
 
 def test_similarity_trajectory(packet_field):
@@ -178,23 +182,21 @@ def test_node_guard_in_tails(one_field):
     # closed-form log-amplitude stays finite deep in the Gaussian tails
     g = one_field.log_amplitude(np.array([-5.0, 5.0]), 0.0)
     assert np.all(np.isfinite(g))
-    # the velocity's relative node threshold rejects the same points
+    # the trajectory calls' relative node threshold rejects the same points
     with pytest.raises(NodeError):
-        one_field.velocity(5.0, 0.0)
+        one_field.velocity_at([(5.0,)], 0.0)
 
 
 def test_overflow_far_out_is_a_node(one_field, fermion_field):
     # |y| = 1e155 overflows (|y| - Y)^2 and (Re D)^2, y1 - y2 = 1e-320
-    # overflows coth: NodeError (NaN unguarded), not a RuntimeWarning
+    # overflows coth: NodeError (-inf or NaN unguarded), not a RuntimeWarning
     for call in (lambda: one_field.velocity_at([(1e155,)], 0.3),
-                 lambda: one_field.velocity(1e155, 0.3),
-                 lambda: one_field.log_amplitude(1e155, 0.3),
-                 lambda: one_field.quantum_potential(1e155, 0.3),
                  lambda: fermion_field.velocity_at([(1e-320, 0.0)], 0.3)):
         with pytest.raises(NodeError):
             call()
     v, q = one_field.velocity_and_potential(np.array([1e155]), 0.3)
     assert np.isnan(v).all() and np.isnan(q).all()
+    assert one_field.log_amplitude(1e155, 0.3) == -np.inf
 
 
 def test_log_amplitude_where_the_density_underflows(one_field,
@@ -206,11 +208,8 @@ def test_log_amplitude_where_the_density_underflows(one_field,
     assert g[0] == np.log(np.abs(one_field.psi(9.0, 0.0)))
     assert g[:2] == pytest.approx([-400.00132576, -756.25132576], abs=1e-8)
     assert g[2] == np.log(np.abs(one_field.psi(0.5, 0.0)))
-    with pytest.raises(NodeError):
-        one_field.log_amplitude(9.0, 0.0, node_floor=EPS_NODE)
     # the fermion diagonal is a true zero
-    with pytest.raises(NodeError):
-        fermion_field.log_amplitude(0.4, 0.4, 0.6)
+    assert fermion_field.log_amplitude(0.4, 0.4, 0.6) == -np.inf
 
 
 def test_velocity_and_potential_where_the_density_underflows(one_field):
@@ -240,11 +239,8 @@ def test_velocity_and_potential_match_the_guarded_calls(
         assert all(np.isnan(c[~off]).all() for c in v)
     else:
         assert off.all()
-    pts = tuple(c[off] for c in coords)
-    want = fld.velocity(*pts, t, node_floor=0.0)
-    want = (want,) if fld.dim == 1 else want
-    assert all(np.array_equal(c[off], w) for c, w in zip(v, want))
-    assert np.array_equal(q[off], fld.quantum_potential(*pts, t))
+    want = fld.velocity_at(np.stack([c[off] for c in coords], axis=-1), t)
+    assert all(np.array_equal(c[off], w) for c, w in zip(v, want.T))
 
 
 def test_field_dispatch():
@@ -288,12 +284,11 @@ def test_continuity_along_exact_flow(one_field):
     # d/dt ln rho along the flow equals -div v
     eps = 1e-5
     for y, t in ((0.9, 0.5), (1.5, 0.8)):
-        v = one_field.velocity(y, t)
+        v = lambda yy: one_field.velocity_and_potential(yy, t)[0]
         lr = lambda yy, tt: 2.0 * one_field.log_amplitude(yy, tt)
-        along = (lr(y + eps * v, t + eps) - lr(y - eps * v, t - eps)) \
-            / (2 * eps)
-        div = (one_field.velocity(y + eps, t)
-               - one_field.velocity(y - eps, t)) / (2 * eps)
+        along = (lr(y + eps * v(y), t + eps)
+                 - lr(y - eps * v(y), t - eps)) / (2 * eps)
+        div = (v(y + eps) - v(y - eps)) / (2 * eps)
         assert along == pytest.approx(-div, abs=5e-4)
 
 
@@ -311,8 +306,8 @@ def _scalar_rk4(fld, start, t_grid):
         t0, h = t_grid[k], t_grid[k + 1] - t_grid[k]
 
         def v(p, t):
-            return np.atleast_1d(np.asarray(fld.velocity(*p, t),
-                                            dtype=float))
+            v_p = fld.velocity_and_potential(*p, t)[0]
+            return np.atleast_1d(np.asarray(v_p, dtype=float))
         k1 = v(r, t0)
         k2 = v(r + 0.5 * h * k1, t0 + 0.5 * h)
         k3 = v(r + 0.5 * h * k2, t0 + 0.5 * h)
@@ -401,8 +396,8 @@ def test_velocity_at_shapes(one_field, boson_field):
     assert boson_field.velocity_at([(0.9, -0.4)], 0.8).shape == (1, 2)
     v = boson_field.velocity_at([(0.9, -0.4), (1.1, -0.2)], 0.8)
     assert v.shape == (2, 2)
-    assert np.allclose(v[0], boson_field.velocity(0.9, -0.4, 0.8),
-                       rtol=1e-14)
+    want, _ = boson_field.velocity_and_potential(0.9, -0.4, 0.8)
+    assert np.allclose(v[0], want, rtol=1e-14)
     for bad in ((0.7,), [(0.9, -0.4)]):
         with pytest.raises(ValueError):
             one_field.velocity_at(bad, 0.3)

@@ -37,7 +37,7 @@ def _velocity_field_error(one_field, n):
     # central fringes only: the local wavenumber grows linearly with |y|,
     # so the stencil error (~(k*delta)^4) is dominated by the outer tail
     sel = (dens > 1e-3 * dens.max()) & (np.abs(y) <= 4.0)
-    v_exact = one_field.velocity(y[sel], 1.0)
+    v_exact, _ = one_field.velocity_and_potential(y[sel], 1.0)
     return np.abs(vf.components[0][sel] - v_exact).max()
 
 

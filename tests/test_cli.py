@@ -476,6 +476,31 @@ def test_run_qp_study(tmp_path):
         assert "for [col=3:4]" in fh.read()
 
 
+def test_compare_reports_the_qp_orders(tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    assert cli.main(["run", _write(tmp_path, "qp.cfg", QP_CFG),
+                     "--out", out]) == 0
+    path = os.path.join(out, "tiny_qp", "manifest.json")
+    with open(path) as fh:
+        manifest = json.load(fh)
+    e2, e3 = manifest["errors"]["orders"].values()
+    e3["max_error_near_node"] = None    # as on a grid with no point there
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+    capsys.readouterr()
+    assert cli.main(["compare", path]) == 0
+    report = capsys.readouterr().out.splitlines()
+    with open(os.path.join(out, "tiny_qp", "errors.csv")) as fh:
+        rows = fh.read().splitlines()
+    assert rows[1:] == [
+        f"qp_order2,{e2['max_error']!r},{e2['max_error_near_node']!r}",
+        f"qp_order3,{e3['max_error']!r},"]
+    assert report[3:] == [
+        f"qp order2: max |dQ| = {e2['max_error']:.3e}, near node "
+        f"{e2['max_error_near_node']:.3e}",
+        f"qp order3: max |dQ| = {e3['max_error']:.3e}, near node n/a"]
+
+
 def test_qp_study_takes_the_default_mwls_with_any_solver(tmp_path):
     text = QP_CFG.replace("solver = hydro_lagrange", "solver = schrodinger_fd")
     spec = parse_config(text)
@@ -643,11 +668,13 @@ def test_underdetermined_mwls_is_an_error(tmp_path, capsys):
      "Y must be positive and finite"),
     (FD_CFG, "grid.n = 131", "grid.n = 131\npacket.sigma0 = nan",
      "sigma0 must be positive and finite"),
+    (FD_CFG, "particles = 1", "particles = 1\nfield.kind = two_particle",
+     "unknown field.kind 'two_particle'"),
 ], ids=["order", "negative_width", "text_width", "sigma0", "exchange_sign",
         "interval", "late_snapshot", "negative_snapshot",
         "late_hydro_snapshot", "two_particle_hydro", "two_particle_qp",
         "qp_order", "packet_kx", "nan_t_final", "inf_t_final", "nan_grid_lo",
-        "nan_packet_Y", "nan_sigma0"])
+        "nan_packet_Y", "nan_sigma0", "two_particle_kind"])
 def test_invalid_config_value_is_an_error(tmp_path, capsys, text, old, new,
                                           message):
     cfg_path = _write(tmp_path, "bad.cfg", text.replace(old, new))

@@ -44,7 +44,7 @@ def test_quantum_potential_from_jets(packet_field):
     op = JetOperator(y, CFG12)
     q, dg = hydro_solver.quantum_potential(op, ens.g)
     assert np.array_equal(dg, op.apply(ens.g)[1])
-    q_exact = packet_field.quantum_potential(y, 0.0)
+    _, q_exact = packet_field.velocity_and_potential(y, 0.0)
     assert np.abs(q - q_exact).max() < 1e-6
 
 

@@ -12,31 +12,51 @@ KEPT_UNUSED = {("analytic", "ExactField.velocity_at"): "perfbench/layer_trace"
                ".py times it, until the benchmark reads the manifest"}
 
 
+def _references(tree):
+    """(names, attributes) that `tree` references: every bare name or
+    `__all__` entry, and every attribute name except inside a function of
+    that same name."""
+    names, attrs = set(), set()
+
+    def visit(node, enclosing):
+        if isinstance(node, ast.FunctionDef):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            attrs.add(node.attr)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            names.update(ast.literal_eval(node.value))
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return names, attrs
+
+
 def _unused_public(sources):
-    """(module, name) of each public top-level function or class, and
-    (module, "Class.method") of each public method, that no module of
-    `sources` (module name -> source text) references and no `__all__`
-    lists."""
+    """(module, name) of each public top-level function or class that no
+    module of `sources` (module name -> source text) references, and
+    (module, "Class.method") of each public method that no attribute
+    reference outside the method's own family reaches (_references)."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
-    used = set()
+    names, attrs = set(), set()
     for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif (isinstance(node, ast.Assign)
-                  and any(isinstance(t, ast.Name) and t.id == "__all__"
-                          for t in node.targets)):
-                used.update(ast.literal_eval(node.value))
+        n, a = _references(tree)
+        names |= n
+        attrs |= a
     defs = [(mod, node.name, node) for mod, tree in trees.items()
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    defs += [(mod, f"{name}.{m.name}", m) for mod, name, c in defs
-             if isinstance(c, ast.ClassDef) and not name.startswith("_")
-             for m in c.body if isinstance(m, ast.FunctionDef)]
-    return sorted((mod, name) for mod, name, node in defs
-                  if not node.name.startswith("_") and node.name not in used)
+    unused = [(mod, name) for mod, name, _ in defs
+              if not name.startswith("_") and name not in names | attrs]
+    unused += [(mod, f"{name}.{m.name}") for mod, name, c in defs
+               if isinstance(c, ast.ClassDef) and not name.startswith("_")
+               for m in c.body if isinstance(m, ast.FunctionDef)
+               and not m.name.startswith("_") and m.name not in attrs]
+    return sorted(unused)
 
 def test_no_unused_public_names():
     sources = {p.stem: p.read_text(encoding="utf-8")
@@ -49,10 +69,16 @@ def test_the_check_sees_an_unused_public_name():
         "a": ("def called():\n    pass\n\ndef orphan():\n    pass\n\n"
               "class Exported:\n    def run(self):\n        pass\n\n"
               "    def stray(self):\n        pass\n\n"
+              "    def shadowed(self):\n        pass\n\n"
+              "    def recursive(self):\n        return self.recursive()\n\n"
               "__all__ = ['Exported']\n"),
         "b": ("from . import a\n\nclass _Private:\n    def hidden(self):\n"
               "        pass\n\n"
-              "class Lonely:\n    pass\n\na.called()\na.Exported().run()\n"),
+              "class Lonely:\n    pass\n\na.called()\na.Exported().run()\n"
+              # a bare name and a call inside the own family do not count
+              "shadowed = 1\n\nclass _Wrapper:\n    def recursive(self):\n"
+              "        return self.inner.recursive()\n"),
     }
     assert _unused_public(sources) == [
+        ("a", "Exported.recursive"), ("a", "Exported.shadowed"),
         ("a", "Exported.stray"), ("a", "orphan"), ("b", "Lonely")]
