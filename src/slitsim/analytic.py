@@ -211,7 +211,9 @@ class SlitPacketField(ExactField):
         # bit-commutative with FMA) and round a large stack unlike a short
         # one.
         pref = (2.0 * np.pi * st ** 2) ** -0.25
-        e = np.exp(-dy ** 2 / (4.0 * s0 * st))
+        # dy^2 overflows past |dy| ~ 1e154, where the packet is 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp(-dy ** 2 / (4.0 * s0 * st))
         return pref * e
 
     def peak_density(self, t):

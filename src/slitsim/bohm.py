@@ -8,9 +8,8 @@ stencils run only on the block of the grid that holds the unmasked
 points, which gives the same numbers as the whole grid. For a 2D field
 with exchange parity (FdFieldProvider finds it once) they run along
 axis 0 only, and the second component is the transposed first. Off-grid
-values are local cubics in power form (interpolate_velocity); a stencil
-that touches a masked point takes the 4 nearest unmasked points around
-it, or gives NaN where too few are left.
+values are local cubics in power form (interpolate_velocity); a point
+whose stencil touches a masked grid point gets no velocity (NaN).
 Trajectories are RK4 with the velocity linearly interpolated in time
 between adjacent field steps. A family of trajectories is integrated as
 one stack in a single pass over the solver's time lattice, holding only
@@ -18,7 +17,7 @@ the fields at the two ends of the current step: each RK4 stage is one
 interpolation call over every live trajectory, and the midpoint stages,
 which read both fields, set up the stencils once for the pair.
 
-A trajectory that runs into a masked (near-node) region stops with the
+A trajectory that reaches a near-node (masked) stencil stops with the
 time of incursion instead of continuing on extrapolated velocities; one
 that leaves the grid stops with the time it left. crossing_report lists
 the times and pairs at which a family breaks the no-crossing property.
@@ -103,61 +102,12 @@ def _unmasked_box(mask):
     return tuple(box)
 
 
-#: For each node j of a 4-point stencil, the other nodes k != j in order.
-_OTHERS = np.array([[k for k in range(4) if k != j] for j in range(4)])
-
-
-def _lagrange_weights(xs, x):
-    """Cubic Lagrange basis values l_j(x) on the nodes xs, shape (..., 4).
-
-    l_j = prod_{k != j} (x - x_k) / (x_j - x_k), each factor and product
-    a separate elementwise operation taken in k order, so that a point
-    gets the same bits alone as in a stack.
-    """
-    x = np.asarray(x)[..., None]
-    r = (x - xs)[..., _OTHERS] / (xs[..., None] - xs[..., _OTHERS])
-    return r[..., 0] * r[..., 1] * r[..., 2]
-
-
-def _lagrange_eval(weights, ys):
-    """sum_j ys_j l_j over the last axis, summed in j order."""
-    terms = ys * weights
-    total = 0.0
-    for j in range(4):
-        total = total + terms[..., j]
-    return total
-
-
 def _local(grid, x):
     """First index b of the 4-point stencil around x (array or scalar),
     and the local coordinate u = (x - lo)/delta - b, in [0, 3]."""
     s = (x - grid.lo) / grid.delta
     b = np.minimum(np.maximum(np.floor(s).astype(int) - 1, 0), grid.n - 4)
     return b, s - b
-
-
-def _stencils(mask, start, x, grid):
-    """Stencils along grid lines, shape (m, r, 4), that skip masked points.
-
-    mask is the flat grid mask and start the flat index of the first
-    point of the r lines read at each of the m coordinates x (0 in 1D).
-    A line keeps its nominal stencil where none of it is masked; else it
-    takes the 4 nearest unmasked of the 6 points around x, the lower index
-    first at equal distance. ok (m, r) is False where the nominal stencil
-    is majority-masked or fewer than 4 are left; such lines keep the
-    nominal stencil, so that their weights stay finite.
-    """
-    win = _local(grid, x)[0][:, None, None] + np.arange(-1, 5)
-    inside = (win >= 0) & (win < grid.n)
-    win = np.clip(win, 0, grid.n - 1)
-    free = ~mask[start + win] & inside
-    n_free = free[..., 1:5].sum(axis=-1)
-    ok = (n_free > 1) & (free.sum(axis=-1) >= 4)
-    dist = np.where(free, np.abs(grid.lo + win * grid.delta
-                                 - x[:, None, None]), np.inf)
-    near = np.sort(np.argsort(dist, axis=-1, kind="stable")[..., :4], axis=-1)
-    pick = np.where(((n_free == 4) | ~ok)[..., None], np.arange(1, 5), near)
-    return np.take_along_axis(win, pick, axis=-1), ok
 
 
 def _inside(grid, points):
@@ -172,32 +122,18 @@ def _weights(u):
     return np.cumprod(p, axis=-1, out=p) @ _BASIS
 
 
-def _masked(fld, pts):
-    """Velocity at a (m, dim) stack from Lagrange weights on the
-    _stencils of each line; NaN on an unusable line."""
-    grid, x = fld.grid, pts[:, -1]
-    rows = _local(grid, pts[:, :1])[0] + np.arange(4)     # 2D column pass
-    start = rows[..., None] * grid.n if grid.dim == 2 else 0
-    idx, ok = _stencils(fld.mask.ravel(), start, x, grid)
-    w = _lagrange_weights(grid.lo + idx * grid.delta, x[:, None])
-    w[~ok] = np.nan
-    if grid.dim == 1:
-        return _lagrange_eval(w, fld.components[0][idx])
-    w_rows = _lagrange_weights(grid.lo + rows * grid.delta, pts[:, 0])
-    return np.stack([_lagrange_eval(w_rows, _lagrange_eval(
-        w, comp.ravel()[start + idx])) for comp in fld.components], axis=1)
-
-
 def interpolate_velocity(vf, points):
     """Velocity at off-grid points by local cubic interpolation.
 
     points is a stack of shape (m, dim); the result has shape (m, dim).
     The cubics are in power form (de Boor, A Practical Guide to Splines,
     2001) in the u of _local: in 1D a Horner on the field's cells, in 2D
-    two batched matmuls of the (4, 4) patch with the _weights. A stencil
-    that touches the mask takes _masked. Points outside the grid raise
-    OutsideGrid. vf may also be a tuple of VelocityFields on one grid;
-    the result is then a tuple, one array per field.
+    two batched matmuls of the (4, 4) patch with the _weights. A point
+    whose 4-point cell (1D) or 4x4 patch (2D) holds a masked grid point
+    gets a NaN row, whatever values the field stores there. Points
+    outside the grid raise OutsideGrid. vf may also be a tuple of
+    VelocityFields on one grid; the result is then a tuple, one array
+    per field.
     """
     single = isinstance(vf, VelocityField)
     fields = (vf,) if single else vf
@@ -212,7 +148,6 @@ def interpolate_velocity(vf, points):
     if grid.dim == 1:
         outs = [((c[3] * u + c[2]) * u + c[1]) * u + c[0]
                 for c in (fld.cells.take(base, axis=1) for fld in fields)]
-        redo = [np.isnan(out[:, 0]) for out in outs]
     else:
         w, n = _weights(u), grid.n
         flat = (base @ (n, 1))[:, None, None] + np.add.outer(   # (m, 4, 4)
@@ -221,10 +156,8 @@ def interpolate_velocity(vf, points):
                             for comp in fld.components])
         vals = w[:, :1] @ patches @ w[:, 1, :, None]
         outs = list(vals.reshape(len(fields), 2, -1).transpose(0, 2, 1).copy())
-        redo = [fld.mask.take(flat).any(axis=(1, 2)) for fld in fields]
-    for fld, out, r in zip(fields, outs, redo):
-        if r.any():
-            out[r] = _masked(fld, pts[r])
+        for fld, out in zip(fields, outs):
+            out[fld.mask.take(flat).any(axis=(1, 2))] = np.nan
     return outs[0] if single else tuple(outs)
 
 
@@ -256,8 +189,8 @@ def _rk4_stack(r, dt, va, vb):
 
     Each stage makes one interpolate_velocity call over the points still
     live, for one field or for the pair at the midpoint stages. A point
-    whose stencil is majority-masked, or that lies outside the grid, at
-    any stage drops out of the later stages.
+    whose stencil touches the mask (a NaN velocity), or that lies outside
+    the grid, at any stage drops out of the later stages.
     Returns (mask over r of the points that completed the step, mask over
     r of the points dropped for leaving the grid, their new positions).
     """

@@ -1,10 +1,10 @@
 """Scenario runner and comparison harness.
 
 `slitsim run <config>` executes one scenario, writes CSV data files, a
-gnuplot script, and a JSON manifest; `slitsim compare <manifest>` rebuilds
-the error report against the exact oracle; `slitsim list-scenarios` shows
-the bundled scenario files. Exit codes: 0 run Valid, 2 run Degraded,
-1 error.
+gnuplot script, and a JSON manifest; `slitsim compare <manifest>` writes
+the error report from the manifest's errors against the exact oracle;
+`slitsim list-scenarios` shows the bundled scenario files. Exit codes:
+0 run Valid, 2 run Degraded, 1 error.
 """
 
 import argparse
@@ -376,6 +376,10 @@ def run(config_path, out_root=None):
 def _error_report(errors, n_steps):
     """Report rows and lines for the errors block of a manifest."""
     rows, lines = [], []
+    for key, e in errors.get("field", {}).items():
+        rows.append((f"field_{key}", _fmt(e["max"]), _fmt(e["rms"])))
+        lines.append(f"field {key}: max |dpsi| = {e['max']:.3e}, "
+                     f"rms = {e['rms']:.3e}")
     for j, entry in enumerate(errors.get("trajectories") or []):
         if entry["max_deviation"] is None:
             rows.append((f"trajectory_{j}", "", ""))
@@ -413,7 +417,7 @@ def _error_report(errors, n_steps):
 
 
 def compare(manifest_path):
-    """Per-snapshot / per-trajectory error report against the exact oracle."""
+    """Per-snapshot / per-trajectory error report from a run manifest."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -425,34 +429,11 @@ def compare(manifest_path):
                 f"{manifest_path} is not a run manifest "
                 f"({type(exc).__name__}: {exc})") from exc
     out_dir = os.path.dirname(os.path.abspath(manifest_path))
-    exact_field = field_for(cfg.packet, cfg.field_kind)
-
-    report_rows = []
     lines = [f"scenario: {cfg.scenario or '(unnamed)'}",
-             f"solver: {cfg.solver}", f"status: {status}"]
-
-    fields_path = os.path.join(out_dir, "fields.csv")
-    if os.path.exists(fields_path):
-        # columns t, y[, y2], re, im
-        try:
-            data = np.loadtxt(fields_path, delimiter=",", skiprows=1, ndmin=2)
-        except ValueError as exc:
-            raise SlitsimError(f"{fields_path} is not a fields CSV "
-                               f"({type(exc).__name__}: {exc})") from exc
-        for t in np.unique(data[:, 0]):
-            sel = data[data[:, 0] == t]
-            emax, erms = _field_errors(
-                sel[:, -2] + 1j * sel[:, -1],
-                exact_field.psi(*sel[:, 1:1 + cfg.grid.dim].T, t))
-            report_rows.append((f"field_t={t:.6g}", _fmt(emax),
-                                _fmt(erms)))
-            lines.append(f"field t={t:.6g}: max |dpsi| = {emax:.3e}, "
-                         f"rms = {erms:.3e}")
-    report_rows += error_rows
-    lines += error_lines
+             f"solver: {cfg.solver}", f"status: {status}"] + error_lines
 
     _write_csv(os.path.join(out_dir, "errors.csv"),
-               ("quantity", "max_error", "secondary"), report_rows)
+               ("quantity", "max_error", "secondary"), error_rows)
     report = "\n".join(lines) + "\n"
     with open(os.path.join(out_dir, "report.txt"), "w",
               encoding="utf-8") as fh:

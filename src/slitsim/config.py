@@ -138,7 +138,7 @@ def parse_config(text):
             dim=dim,
         )
         mwls = None
-        if "mwls.neighbors" in pairs or "mwls.order" in pairs \
+        if {"mwls.neighbors", "mwls.order", "mwls.width"} & pairs.keys() \
                 or solver != "schrodinger_fd" or mode == "qp_study":
             mwls = MwlsConfig(
                 n_neighbors=get("mwls.neighbors", int, 12),

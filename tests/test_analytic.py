@@ -199,6 +199,26 @@ def test_overflow_far_out_is_a_node(one_field, fermion_field):
     assert one_field.log_amplitude(1e155, 0.3) == -np.inf
 
 
+def test_psi_far_out_is_zero_without_a_warning(packet_field, one_field,
+                                               boson_field, fermion_field):
+    # (y - c)^2 overflows past |y| ~ 1e154, where every packet is 0
+    far = np.array([1e155, -1e160, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fld in (packet_field, one_field):
+            for t in (0.0, 0.3):
+                assert fld.psi(1e155, t) == 0.0
+                got = fld.psi(far, t)
+                assert np.array_equal(got[:2], [0.0, 0.0])
+                assert got[2] == fld.psi(0.5, t)
+        for fld in (boson_field, fermion_field):
+            assert fld.psi(1e155, 0.4, 0.3) == 0.0
+            got = fld.psi(far, np.array([0.4, 1e155, -0.4]), 0.3)
+            assert np.array_equal(got[:2], [0.0, 0.0])
+            assert got[2] == pytest.approx(fld.psi(0.5, -0.4, 0.3),
+                                           rel=1e-14)
+
+
 def test_log_amplitude_where_the_density_underflows(one_field,
                                                     fermion_field):
     # at y = 9 |psi|^2 underflows but psi = 1.9e-174 does not; at y = 12

@@ -391,6 +391,17 @@ def test_compare_round_trip(tmp_path, capsys):
     assert "trajectory 0" in report
     assert os.path.exists(os.path.join(out, "tiny_fd", "errors.csv"))
     assert os.path.exists(os.path.join(out, "tiny_fd", "report.txt"))
+    # the field rows are the manifest's, and the manifest alone suffices
+    with open(manifest) as fh:
+        field = json.load(fh)["errors"]["field"]
+    with open(os.path.join(out, "tiny_fd", "errors.csv"), newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r[0].startswith("field_")]
+    assert len(rows) == 3 and rows == [
+        [f"field_{k}", repr(e["max"]), repr(e["rms"])]
+        for k, e in field.items()]
+    os.remove(os.path.join(out, "tiny_fd", "fields.csv"))
+    assert cli.main(["compare", manifest]) == 0
+    assert report.endswith(capsys.readouterr().out)
 
 
 def test_run_hydro_end_to_end(tmp_path):
@@ -670,11 +681,17 @@ def test_underdetermined_mwls_is_an_error(tmp_path, capsys):
      "sigma0 must be positive and finite"),
     (FD_CFG, "particles = 1", "particles = 1\nfield.kind = two_particle",
      "unknown field.kind 'two_particle'"),
+    # a width alone still reaches the MWLS checks in an FD run
+    (FD_CFG, "grid.n = 131", "grid.n = 131\nmwls.width = abc",
+     "line 7: bad value for 'mwls.width'"),
+    (FD_CFG, "grid.n = 131", "grid.n = 131\nmwls.width = -1",
+     'weight_width must be positive or "auto"'),
 ], ids=["order", "negative_width", "text_width", "sigma0", "exchange_sign",
         "interval", "late_snapshot", "negative_snapshot",
         "late_hydro_snapshot", "two_particle_hydro", "two_particle_qp",
         "qp_order", "packet_kx", "nan_t_final", "inf_t_final", "nan_grid_lo",
-        "nan_packet_Y", "nan_sigma0", "two_particle_kind"])
+        "nan_packet_Y", "nan_sigma0", "two_particle_kind", "text_width_fd",
+        "negative_width_fd"])
 def test_invalid_config_value_is_an_error(tmp_path, capsys, text, old, new,
                                           message):
     cfg_path = _write(tmp_path, "bad.cfg", text.replace(old, new))
@@ -706,9 +723,9 @@ def _manifest_with_kx():
 @pytest.mark.parametrize("text", [
     "not json", '{"config": {}}', "[]", _manifest_text([]),
     _manifest_text({"trajectories": [{"start": [0.8]}]}),
-    _manifest_with_kx(),
+    _manifest_with_kx(), _manifest_text({"field": {"t=0": {}}}),
 ], ids=["not_json", "no_packet", "list", "errors_list", "no_max_deviation",
-        "packet_kx"])
+        "packet_kx", "field_no_max"])
 def test_compare_unreadable_manifest_is_an_error(tmp_path, capsys, text):
     path = _write(tmp_path, "manifest.json", text)
     assert cli.main(["compare", path]) == 1
@@ -716,27 +733,12 @@ def test_compare_unreadable_manifest_is_an_error(tmp_path, capsys, text):
     assert err.startswith("error: ") and "not a run manifest" in err
 
 
-def test_compare_malformed_fields_csv_is_an_error(tmp_path, capsys):
-    cfg_path = _write(tmp_path, "tiny.cfg", FD_CFG)
-    out = str(tmp_path / "runs")
-    assert cli.main(["run", cfg_path, "--out", out]) == 0
-    fields = os.path.join(out, "tiny_fd", "fields.csv")
-    with open(fields, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    lines[2] = "0.01,abc,1,2\r\n"
-    with open(fields, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(lines)
-    capsys.readouterr()
-    assert cli.main(["compare",
-                     os.path.join(out, "tiny_fd", "manifest.json")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {fields} is not a fields CSV (")
-
-
 def test_masked_and_truncated_starts_are_reported(tmp_path, capsys):
-    # 2.3 reaches a masked stencil mid-run; 5.0 is masked from t=0
+    # 5.0 is masked from t=0, and 2.0 reaches a masked stencil at step
+    # 301 of 1e-3. The run is that step rounded up to the next hundred.
     text = FD_CFG.replace("trajectory.starts = 0.8; -0.8",
-                          "trajectory.starts = 0.8; -0.8; 2.3; 5.0")
+                          "trajectory.starts = 0.8; -0.8; 2.0; 5.0").replace(
+        "t_final = 0.05\nn_steps = 100", "t_final = 0.4\nn_steps = 400")
     cfg_path = _write(tmp_path, "tiny.cfg", text)
     out = str(tmp_path / "runs")
     assert cli.main(["run", cfg_path, "--out", out]) == 0
@@ -744,8 +746,8 @@ def test_masked_and_truncated_starts_are_reported(tmp_path, capsys):
     with open(manifest_path) as fh:
         errors = json.load(fh)["errors"]
     entries = errors["trajectories"]
-    assert [e["steps_completed"] for e in entries][:2] == [100, 100]
-    assert 0 < entries[2]["steps_completed"] < 100
+    assert [e["steps_completed"] for e in entries][:2] == [400, 400]
+    assert 0 < entries[2]["steps_completed"] < 400
     assert entries[2]["max_deviation"] is not None
     assert entries[3]["steps_completed"] == 0
     assert entries[3]["incursion_time"] == 0.0
@@ -758,7 +760,7 @@ def test_masked_and_truncated_starts_are_reported(tmp_path, capsys):
     assert cli.main(["compare", manifest_path]) == 0
     report = capsys.readouterr().out
     assert "trajectory 3 from [5.0]: not run" in report
-    assert "trajectory 2 from [2.3]: max dev" in report
+    assert "trajectory 2 from [2.0]: max dev" in report
 
 
 def _flagged_deviation_loop(traj, exact_traj, exact_field):

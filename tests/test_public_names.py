@@ -1,6 +1,7 @@
 """Every public top-level function or class, and every public method of a
-class, is used in the package (or exported): a public name that only tests
-reach is dead code."""
+class, is used in the package (or exported), and every private top-level
+function, class or constant is used in the package outside its own
+definition: a name that only tests reach is dead code."""
 
 import ast
 from pathlib import Path
@@ -58,10 +59,42 @@ def _unused_public(sources):
                and not m.name.startswith("_") and m.name not in attrs]
     return sorted(unused)
 
+
+def _defined(node):
+    """Names that a top-level statement defines: a function or class, or
+    the plain-name targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _unused_private(sources):
+    """(module, name) of each private (_name, not __dunder__) top-level
+    function, class or constant that no statement of `sources` other than
+    its own definition reads, as a bare name or an attribute. An import
+    alone is not a use."""
+    private, used = [], set()
+    for mod, src in sources.items():
+        for node in ast.parse(src).body:
+            own = _defined(node)
+            private += [(mod, n) for n in own
+                        if n.startswith("_") and not n.startswith("__")]
+            used |= {x.id if isinstance(x, ast.Name) else x.attr
+                     for x in ast.walk(node)
+                     if isinstance(x, ast.Name) and isinstance(x.ctx, ast.Load)
+                     or isinstance(x, ast.Attribute)} - set(own)
+    return sorted(d for d in private if d[1] not in used)
+
+
+def _package_sources():
+    return {p.stem: p.read_text(encoding="utf-8")
+            for p in sorted(SRC.glob("*.py"))}
+
+
 def test_no_unused_public_names():
-    sources = {p.stem: p.read_text(encoding="utf-8")
-               for p in sorted(SRC.glob("*.py"))}
-    assert _unused_public(sources) == sorted(KEPT_UNUSED)
+    assert _unused_public(_package_sources()) == sorted(KEPT_UNUSED)
 
 
 def test_the_check_sees_an_unused_public_name():
@@ -82,3 +115,24 @@ def test_the_check_sees_an_unused_public_name():
     assert _unused_public(sources) == [
         ("a", "Exported.recursive"), ("a", "Exported.shadowed"),
         ("a", "Exported.stray"), ("a", "orphan"), ("b", "Lonely")]
+
+
+def test_no_unused_private_names():
+    assert _unused_private(_package_sources()) == []
+
+
+def test_the_check_sees_an_unused_private_name():
+    sources = {
+        "a": ("_LIMIT = 1\n_spare: int = 2\n__version__ = '0'\n\n"
+              "def _helper():\n    return _LIMIT\n\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+              "def _shared():\n    pass\n\n"
+              "def _imported():\n    pass\n\n"
+              "class _Lonely:\n    pass\n\n"
+              "def public():\n    return _helper()\n"),
+        "b": ("from . import a\nfrom .a import _imported\n\n"
+              "_total = a._shared()\n"),
+    }
+    assert _unused_private(sources) == [
+        ("a", "_Lonely"), ("a", "_imported"), ("a", "_recursive"),
+        ("a", "_spare"), ("b", "_total")]
